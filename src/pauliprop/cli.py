@@ -79,35 +79,15 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _set_workers(requested: int | None) -> int:
-    """Cap numba threading; the engine result is worker-independent."""
-    import warnings
-
-    try:
-        import numba
-
-        available = numba.config.NUMBA_NUM_THREADS
-        if requested is None:
-            return available
-        effective = max(1, min(requested, available))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            numba.set_num_threads(effective)
-        return effective
-    except Exception:
-        return 1
-
-
 class _Manifest:
     """Run provenance: resolved config, artifacts, wall time, versions."""
 
-    def __init__(self, command: str, args: argparse.Namespace, workers: int | None = None):
+    def __init__(self, command: str, args: argparse.Namespace):
         self.payload = {
             "command": command,
             "argv": sys.argv[1:],
             "config": {k: v for k, v in vars(args).items() if k != "func"},
             "engine_version": __version__,
-            "workers": workers,
             "started_at_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "artifacts": [],
             "timings": {},
@@ -219,9 +199,8 @@ def _write_snapshots(trace: TraceLog, out: Path, manifest: _Manifest, delta: flo
 def cmd_run(args) -> int:
     circuit = Circuit.load(args.circuit)
     observable = _load_observable(args.observable, circuit.n)
-    workers = _set_workers(args.workers)
     out = _out_dir(args)
-    manifest = _Manifest("run", args, workers=workers)
+    manifest = _Manifest("run", args)
 
     snapshot_gates: tuple[int, ...] = ()
     snapshot_steps = False
@@ -270,9 +249,8 @@ def cmd_run(args) -> int:
 def cmd_estimate(args) -> int:
     circuit = Circuit.load(args.circuit)
     observable = _load_observable(args.observable, circuit.n)
-    workers = _set_workers(args.workers)
     out = _out_dir(args)
-    manifest = _Manifest("estimate", args, workers=workers)
+    manifest = _Manifest("estimate", args)
 
     targets = _parse_float_list(args.targets)
     if not targets:
@@ -316,9 +294,8 @@ def cmd_estimate(args) -> int:
 def cmd_converge(args) -> int:
     circuit = Circuit.load(args.circuit)
     observable = _load_observable(args.observable, circuit.n)
-    workers = _set_workers(args.workers)
     out = _out_dir(args)
-    manifest = _Manifest("converge", args, workers=workers)
+    manifest = _Manifest("converge", args)
 
     config = ConvergenceConfig(
         delta_0=args.delta0, ratio=args.ratio, eps_tol=args.eps_tol, ell=args.ell,
@@ -482,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out-dir", required=True)
     run_p.add_argument("--snapshots", default=None, help="'steps' or comma-separated gate indices")
     run_p.add_argument("--budget", type=float, default=None, help="wall-clock budget (s)")
-    run_p.add_argument("--workers", type=int, default=None)
     run_p.add_argument("--max-rows", type=int, default=None)
     run_p.set_defaults(func=cmd_run)
 
@@ -495,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--targets", required=True, help="comma-separated target deltas")
     est.add_argument("--tail-points", type=int, default=4)
     est.add_argument("--budget", type=float, default=None)
-    est.add_argument("--workers", type=int, default=None)
     est.add_argument("--out-dir", required=True)
     est.set_defaults(func=cmd_estimate)
 
@@ -509,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--t-cpu", type=float, default=600.0, help="per-step budget (s)")
     conv.add_argument("--max-steps", type=int, default=40)
     conv.add_argument("--cumulative-budget", type=float, default=None)
-    conv.add_argument("--workers", type=int, default=None)
     conv.add_argument("--out-dir", required=True)
     conv.set_defaults(func=cmd_converge)
 

@@ -8,9 +8,8 @@ extracting exact Clifford quarter turns (pure row relabelings, no growth).
 After every gate the coefficient threshold is applied once.
 
 Rows are kept in canonical packed order throughout, which makes every run
-bit-identical regardless of worker count or kernel path.  The hot path is a
-single fused numba kernel per gate; the numpy fallback composes the same
-update from vectorized pieces and produces identical arrays.
+bit-identical.  Each gate is composed from vectorized numpy pieces over the
+bit kernels in :mod:`pauliprop.kernels`; all float updates are elementwise.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 from . import kernels
 from .circuits import Circuit
 from .pauli import InvariantViolation, PauliError, PauliString
-from .sums import PauliSum
+from .sums import PauliSum, RowCapExceeded
 
 __all__ = [
     "GateStats",
@@ -44,15 +43,6 @@ _HALF_PI = math.pi / 2.0
 
 class BudgetExceeded(RuntimeError):
     """Wall-clock budget ran out; carries the partial trace and state."""
-
-    def __init__(self, message, trace=None, partial=None):
-        super().__init__(message)
-        self.trace = trace
-        self.partial = partial
-
-
-class RowCapExceeded(RuntimeError):
-    """Row cap would be exceeded; carries the partial trace and state."""
 
     def __init__(self, message, trace=None, partial=None):
         super().__init__(message)
@@ -246,7 +236,7 @@ def partition(s: PauliSum, sigma: PauliString) -> PartitionResult:
 
 
 # ---------------------------------------------------------------------------
-# numpy fallback gate path (same arrays out as the fused kernel)
+# gate path on canonically sorted arrays
 # ---------------------------------------------------------------------------
 
 
@@ -266,20 +256,27 @@ def _merge_arrays(bits, coeffs, new_bits, new_coeffs, pos):
     return out_bits, out_coeffs
 
 
-def _gate_numpy(bits, coeffs, words, sigma_alpha, q, cos_r, sin_r, delta, row_cap):
-    """One gate on canonically sorted arrays, vectorized numpy pieces.
+def _scan(bits, words):
+    """Anti-commutation mask, anti row slots, and their partner slots.
+
+    A partner slot is -1 when the row bits ^ words is absent; the partner
+    search is skipped (pos is None) when no row anti-commutes.
+    """
+    anti = kernels.anti_mask(bits, words)
+    anti_idx = np.flatnonzero(anti)
+    pos = kernels.find_rows(bits, bits[anti_idx] ^ words) if len(anti_idx) else None
+    return anti, anti_idx, pos
+
+
+def _gate(bits, coeffs, words, sigma_alpha, q, cos_r, sin_r, delta, row_cap):
+    """One gate on canonically sorted arrays.
 
     Returns (bits, coeffs, anti_count, eta_count, truncated, cap_exceeded).
     """
-    n_rows = len(coeffs)
-    anti = kernels.anti_mask(bits, words)
-    anti_idx = np.flatnonzero(anti)
+    anti, anti_idx, pos = _scan(bits, words)
     n_anti = len(anti_idx)
     if n_anti == 0:
         return bits, coeffs, 0, 0, 0, False
-
-    partner_bits = bits[anti_idx] ^ words
-    pos = kernels.find_rows(bits, partner_bits)
     eta_count = int(np.count_nonzero(pos >= 0))
 
     if q:
@@ -301,10 +298,8 @@ def _gate_numpy(bits, coeffs, words, sigma_alpha, q, cos_r, sin_r, delta, row_ca
             ins = kernels.lower_bound(comm_bits, relabeled)
             bits, coeffs = _merge_arrays(comm_bits, comm_coeffs, relabeled, anti_coeffs, ins)
             if sin_r != 0.0:
-                anti = kernels.anti_mask(bits, words)
-                anti_idx = np.flatnonzero(anti)
-                partner_bits = bits[anti_idx] ^ words
-                pos = kernels.find_rows(bits, partner_bits)
+                # rows moved: rescan the anti set and partners
+                _, anti_idx, pos = _scan(bits, words)
 
     truncated = 0
     if sin_r != 0.0:
@@ -345,7 +340,7 @@ def _gate_numpy(bits, coeffs, words, sigma_alpha, q, cos_r, sin_r, delta, row_ca
 
 
 def _run_gate(bits, coeffs, prep, theta, delta, row_cap):
-    """Dispatch one gate to the fused kernel or the numpy fallback.
+    """Reduce the angle and apply one gate.
 
     Returns (bits, coeffs, phi, eta, truncated, cap_exceeded).
     """
@@ -356,14 +351,9 @@ def _run_gate(bits, coeffs, prep, theta, delta, row_cap):
     q, residual = _reduce_angle(orientation * theta)
     cos_r = math.cos(residual)
     sin_r = math.sin(residual) if residual != 0.0 else 0.0
-    if kernels.USING_NUMBA:
-        bits, coeffs, n_anti, eta_count, truncated, capped = kernels.numba_impl["gate"](
-            bits, coeffs, words, canon, q, cos_r, sin_r, delta, row_cap
-        )
-    else:
-        bits, coeffs, n_anti, eta_count, truncated, capped = _gate_numpy(
-            bits, coeffs, words, canon, q, cos_r, sin_r, delta, row_cap
-        )
+    bits, coeffs, n_anti, eta_count, truncated, capped = _gate(
+        bits, coeffs, words, canon, q, cos_r, sin_r, delta, row_cap
+    )
     return bits, coeffs, n_anti / n_rows, eta_count / n_rows, truncated, capped
 
 

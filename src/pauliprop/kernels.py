@@ -5,32 +5,22 @@ x-words per row.  The canonical row order used everywhere is word-by-word
 unsigned comparison (column 0 first), which equals memcmp order on the
 big-endian packed bytes produced by :func:`pack_keys`.
 
-Two interchangeable implementations are provided: numba ``@njit`` (default)
-and pure numpy (select with ``PAULIPROP_NO_NUMBA=1``).  Kernels do integer
-and bit work only -- all floating-point arithmetic stays in shared numpy
-code -- so the two paths return bit-identical results.
+Kernels do integer and bit work only; all floating-point arithmetic stays
+in the engine.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "USING_NUMBA",
     "anti_mask",
     "branch_signs",
-    "row_phases",
     "find_rows",
     "lower_bound",
     "pack_keys",
     "sort_order",
-    "numpy_impl",
-    "numba_impl",
 ]
-
-_DISABLE = os.environ.get("PAULIPROP_NO_NUMBA", "").strip().lower() not in ("", "0", "false", "no")
 
 
 def pack_keys(bits: np.ndarray) -> np.ndarray:
@@ -48,25 +38,19 @@ def sort_order(bits: np.ndarray) -> np.ndarray:
     return np.argsort(pack_keys(bits), kind="stable")
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-
-def _anti_mask_np(bits, sigma):
+def anti_mask(bits, sigma):
+    """Rows that anti-commute with the generator sigma (symplectic parity)."""
     w = bits.shape[1] // 2
     cross = np.concatenate([sigma[w:], sigma[:w]])
     counts = np.bitwise_count(bits & cross).sum(axis=1, dtype=np.int64)
     return (counts & 1).astype(bool)
 
 
-def _row_phases_np(bits):
-    w = bits.shape[1] // 2
-    y = np.bitwise_count(bits[:, :w] & bits[:, w:]).sum(axis=1, dtype=np.int64)
-    return (y & 3).astype(np.uint8)
+def branch_signs(bits, sigma, sigma_alpha):
+    """Real sign (+1/-1) of each row's branch i*sigma*P in canonical form.
 
-
-def _branch_signs_np(bits, sigma, sigma_alpha):
+    0 marks a non-Hermitian result, which only a corrupt state produces.
+    """
     w = bits.shape[1] // 2
     y_p = np.bitwise_count(bits[:, :w] & bits[:, w:]).sum(axis=1, dtype=np.int64)
     cross = np.bitwise_count(bits[:, :w] & sigma[w:]).sum(axis=1, dtype=np.int64)
@@ -76,7 +60,8 @@ def _branch_signs_np(bits, sigma, sigma_alpha):
     return np.where(diff == 0, 1, np.where(diff == 2, -1, 0)).astype(np.int8)
 
 
-def _find_rows_np(bits_sorted, queries):
+def find_rows(bits_sorted, queries):
+    """Slot of each query row in the sorted matrix, or -1 when absent."""
     n = bits_sorted.shape[0]
     keys = pack_keys(bits_sorted)
     qkeys = pack_keys(queries)
@@ -85,473 +70,6 @@ def _find_rows_np(bits_sorted, queries):
     return out.astype(np.int64)
 
 
-def _lower_bound_np(bits_sorted, queries):
+def lower_bound(bits_sorted, queries):
+    """Insertion slot of each query row that keeps the matrix sorted."""
     return np.searchsorted(pack_keys(bits_sorted), pack_keys(queries)).astype(np.int64)
-
-
-numpy_impl = {
-    "anti_mask": _anti_mask_np,
-    "row_phases": _row_phases_np,
-    "branch_signs": _branch_signs_np,
-    "find_rows": _find_rows_np,
-    "lower_bound": _lower_bound_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-numba_impl = None
-
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        _U = np.uint64
-
-        @njit(cache=True, inline="always")
-        def _popcnt(v):
-            v = v - ((v >> _U(1)) & _U(0x5555555555555555))
-            v = (v & _U(0x3333333333333333)) + ((v >> _U(2)) & _U(0x3333333333333333))
-            v = (v + (v >> _U(4))) & _U(0x0F0F0F0F0F0F0F0F)
-            return (v * _U(0x0101010101010101)) >> _U(56)
-
-        @njit(cache=True)
-        def _anti_mask_nb(bits, sigma):
-            rows, width = bits.shape
-            w = width // 2
-            out = np.empty(rows, np.bool_)
-            for i in range(rows):
-                acc = _U(0)
-                for j in range(w):
-                    acc += _popcnt(bits[i, j] & sigma[w + j])
-                    acc += _popcnt(bits[i, w + j] & sigma[j])
-                out[i] = bool(acc & _U(1))
-            return out
-
-        @njit(cache=True)
-        def _row_phases_nb(bits):
-            rows, width = bits.shape
-            w = width // 2
-            out = np.empty(rows, np.uint8)
-            for i in range(rows):
-                acc = _U(0)
-                for j in range(w):
-                    acc += _popcnt(bits[i, j] & bits[i, w + j])
-                out[i] = np.uint8(acc & _U(3))
-            return out
-
-        @njit(cache=True)
-        def _branch_signs_nb(bits, sigma, sigma_alpha):
-            rows, width = bits.shape
-            w = width // 2
-            out = np.empty(rows, np.int8)
-            for i in range(rows):
-                y_p = _U(0)
-                cross = _U(0)
-                y_t = _U(0)
-                for j in range(w):
-                    zp = bits[i, j]
-                    xp = bits[i, w + j]
-                    y_p += _popcnt(zp & xp)
-                    cross += _popcnt(zp & sigma[w + j])
-                    y_t += _popcnt((zp ^ sigma[j]) & (xp ^ sigma[w + j]))
-                diff = (np.int64(y_p) + sigma_alpha + 2 * np.int64(cross) - 1 - np.int64(y_t)) % 4
-                if diff == 0:
-                    out[i] = 1
-                elif diff == 2:
-                    out[i] = -1
-                else:
-                    out[i] = 0
-            return out
-
-        @njit(cache=True, inline="always")
-        def _row_less(bits, i, queries, q, width):
-            for j in range(width):
-                a = bits[i, j]
-                b = queries[q, j]
-                if a < b:
-                    return True
-                if a > b:
-                    return False
-            return False
-
-        @njit(cache=True)
-        def _lower_bound_nb(bits_sorted, queries):
-            n, width = bits_sorted.shape
-            m = queries.shape[0]
-            out = np.empty(m, np.int64)
-            for q in range(m):
-                lo = 0
-                hi = n
-                while lo < hi:
-                    mid = (lo + hi) >> 1
-                    if _row_less(bits_sorted, mid, queries, q, width):
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                out[q] = lo
-            return out
-
-        @njit(cache=True)
-        def _find_rows_nb(bits_sorted, queries):
-            n, width = bits_sorted.shape
-            m = queries.shape[0]
-            out = np.empty(m, np.int64)
-            for q in range(m):
-                lo = 0
-                hi = n
-                while lo < hi:
-                    mid = (lo + hi) >> 1
-                    if _row_less(bits_sorted, mid, queries, q, width):
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                if lo < n:
-                    eq = True
-                    for j in range(width):
-                        if bits_sorted[lo, j] != queries[q, j]:
-                            eq = False
-                            break
-                    out[q] = lo if eq else -1
-                else:
-                    out[q] = -1
-            return out
-
-        @njit(cache=True, inline="always")
-        def _rows_less_direct(bits, i, k, width):
-            for j in range(width):
-                a = bits[i, j]
-                b = bits[k, j]
-                if a < b:
-                    return True
-                if a > b:
-                    return False
-            return False
-
-        @njit(cache=True)
-        def _argsort_rows(bits, idx):
-            """Stable bottom-up merge sort of idx by row key."""
-            m = len(idx)
-            buf = np.empty(m, np.int64)
-            width = bits.shape[1]
-            out = idx
-            step = 1
-            while step < m:
-                lo = 0
-                while lo < m:
-                    mid = min(lo + step, m)
-                    hi = min(lo + 2 * step, m)
-                    a, b, c = lo, mid, lo
-                    while a < mid and b < hi:
-                        if _rows_less_direct(bits, out[b], out[a], width):
-                            buf[c] = out[b]
-                            b += 1
-                        else:
-                            buf[c] = out[a]
-                            a += 1
-                        c += 1
-                    while a < mid:
-                        buf[c] = out[a]
-                        a += 1
-                        c += 1
-                    while b < hi:
-                        buf[c] = out[b]
-                        b += 1
-                        c += 1
-                    lo = hi
-                out, buf = buf, out
-                step *= 2
-            return out
-
-        @njit(cache=True, inline="always")
-        def _block_less(abits, ai, bbits, bi, width):
-            for j in range(width):
-                x = abits[ai, j]
-                y = bbits[bi, j]
-                if x < y:
-                    return True
-                if x > y:
-                    return False
-            return False
-
-        @njit(cache=True)
-        def _gate_kernel_nb(bits, coeffs, sigma, sigma_alpha, q, cos_r, sin_r, delta, row_cap):
-            """One full gate on sorted rows: scan, quarter turns, planar
-            update, branch, ordered merge, truncation.
-
-            Returns (bits_out, coeffs_out, anti_count, eta_count, truncated,
-            cap_exceeded).  Row order stays canonical; all float updates are
-            elementwise (bit-identical to the numpy composition).
-            """
-            n_rows, width = bits.shape
-            w = width // 2
-
-            # pass 1: anti-commuting rows
-            anti_idx = np.empty(n_rows, np.int64)
-            n_anti = 0
-            for i in range(n_rows):
-                acc = _U(0)
-                for j in range(w):
-                    acc += _popcnt(bits[i, j] & sigma[w + j])
-                    acc += _popcnt(bits[i, w + j] & sigma[j])
-                if acc & _U(1):
-                    anti_idx[n_anti] = i
-                    n_anti += 1
-            if n_anti == 0:
-                return bits, coeffs, 0, 0, 0, False
-            anti_idx = anti_idx[:n_anti]
-
-            # pass 2: partner slots and branch signs per anti row
-            partner = np.empty(n_anti, np.int64)
-            signs = np.empty(n_anti, np.float64)
-            target = np.empty(width, np.uint64)
-            for a in range(n_anti):
-                i = anti_idx[a]
-                y_p = _U(0)
-                cross = _U(0)
-                y_t = _U(0)
-                for j in range(w):
-                    zp = bits[i, j]
-                    xp = bits[i, w + j]
-                    y_p += _popcnt(zp & xp)
-                    cross += _popcnt(zp & sigma[w + j])
-                    y_t += _popcnt((zp ^ sigma[j]) & (xp ^ sigma[w + j]))
-                diff = (np.int64(y_p) + sigma_alpha + 2 * np.int64(cross) - 1 - np.int64(y_t)) % 4
-                signs[a] = 1.0 if diff == 0 else -1.0
-                for j in range(width):
-                    target[j] = bits[i, j] ^ sigma[j]
-                lo = 0
-                hi = n_rows
-                while lo < hi:
-                    mid = (lo + hi) >> 1
-                    less = False
-                    for j in range(width):
-                        x = bits[mid, j]
-                        y = target[j]
-                        if x < y:
-                            less = True
-                            break
-                        if x > y:
-                            break
-                    if less:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                hit = np.int64(-1)
-                if lo < n_rows:
-                    eq = True
-                    for j in range(width):
-                        if bits[lo, j] != target[j]:
-                            eq = False
-                            break
-                    if eq:
-                        hit = lo
-                partner[a] = hit
-            eta_count = 0
-            for a in range(n_anti):
-                if partner[a] >= 0:
-                    eta_count += 1
-
-            # quarter turns (exact Clifford relabelings)
-            if q == 2:
-                for a in range(n_anti):
-                    coeffs[anti_idx[a]] = -coeffs[anti_idx[a]]
-            elif q == 1 or q == 3:
-                relabeled = np.empty((n_anti, width), np.uint64)
-                re_coeffs = np.empty(n_anti, np.float64)
-                for a in range(n_anti):
-                    i = anti_idx[a]
-                    for j in range(width):
-                        relabeled[a, j] = bits[i, j] ^ sigma[j]
-                    mult = signs[a] if q == 1 else -signs[a]
-                    re_coeffs[a] = coeffs[i] * mult
-                order = _argsort_rows(relabeled, np.arange(n_anti))
-                merged_bits = np.empty((n_rows, width), np.uint64)
-                merged_coeffs = np.empty(n_rows, np.float64)
-                # comm rows keep their relative (sorted) order; merge with
-                # the sorted relabeled block
-                is_anti = np.zeros(n_rows, np.bool_)
-                for a in range(n_anti):
-                    is_anti[anti_idx[a]] = True
-                ci = 0
-                bpos = 0
-                out_i = 0
-                while ci < n_rows and is_anti[ci]:
-                    ci += 1
-                while out_i < n_rows:
-                    take_new = False
-                    if ci >= n_rows:
-                        take_new = True
-                    elif bpos < n_anti:
-                        take_new = _block_less(relabeled, order[bpos], bits, ci, width)
-                    if take_new:
-                        src = order[bpos]
-                        for j in range(width):
-                            merged_bits[out_i, j] = relabeled[src, j]
-                        merged_coeffs[out_i] = re_coeffs[src]
-                        bpos += 1
-                    else:
-                        for j in range(width):
-                            merged_bits[out_i, j] = bits[ci, j]
-                        merged_coeffs[out_i] = coeffs[ci]
-                        ci += 1
-                        while ci < n_rows and is_anti[ci]:
-                            ci += 1
-                    out_i += 1
-                bits = merged_bits
-                coeffs = merged_coeffs
-                if sin_r != 0.0:
-                    # rows moved: rescan anti set and partners
-                    fresh_idx = np.empty(n_rows, np.int64)
-                    n_anti = 0
-                    for i in range(n_rows):
-                        acc = _U(0)
-                        for j in range(w):
-                            acc += _popcnt(bits[i, j] & sigma[w + j])
-                            acc += _popcnt(bits[i, w + j] & sigma[j])
-                        if acc & _U(1):
-                            fresh_idx[n_anti] = i
-                            n_anti += 1
-                    anti_idx = fresh_idx[:n_anti]
-                    partner = np.empty(n_anti, np.int64)
-                    signs = np.empty(n_anti, np.float64)
-                    for a in range(n_anti):
-                        i = anti_idx[a]
-                        y_p = _U(0)
-                        cross = _U(0)
-                        y_t = _U(0)
-                        for j in range(w):
-                            zp = bits[i, j]
-                            xp = bits[i, w + j]
-                            y_p += _popcnt(zp & xp)
-                            cross += _popcnt(zp & sigma[w + j])
-                            y_t += _popcnt((zp ^ sigma[j]) & (xp ^ sigma[w + j]))
-                        diff = (np.int64(y_p) + sigma_alpha + 2 * np.int64(cross) - 1 - np.int64(y_t)) % 4
-                        signs[a] = 1.0 if diff == 0 else -1.0
-                        for j in range(width):
-                            target[j] = bits[i, j] ^ sigma[j]
-                        lo = 0
-                        hi = n_rows
-                        while lo < hi:
-                            mid = (lo + hi) >> 1
-                            less = False
-                            for j in range(width):
-                                x = bits[mid, j]
-                                y = target[j]
-                                if x < y:
-                                    less = True
-                                    break
-                                if x > y:
-                                    break
-                            if less:
-                                lo = mid + 1
-                            else:
-                                hi = mid
-                        hit = np.int64(-1)
-                        if lo < n_rows:
-                            eq = True
-                            for j in range(width):
-                                if bits[lo, j] != target[j]:
-                                    eq = False
-                                    break
-                            if eq:
-                                hit = lo
-                        partner[a] = hit
-
-            truncated = 0
-            if sin_r != 0.0:
-                n_new = 0
-                for a in range(n_anti):
-                    if partner[a] < 0:
-                        n_new += 1
-                if n_rows + n_new > row_cap:
-                    return bits, coeffs, n_anti, eta_count, 0, True
-                new_bits = np.empty((n_new, width), np.uint64)
-                new_coeffs = np.empty(n_new, np.float64)
-                b = 0
-                for a in range(n_anti):
-                    i = anti_idx[a]
-                    p = partner[a]
-                    if p < 0:
-                        for j in range(width):
-                            new_bits[b, j] = bits[i, j] ^ sigma[j]
-                        new_coeffs[b] = coeffs[i] * (sin_r * signs[a])
-                        coeffs[i] = coeffs[i] * cos_r
-                        b += 1
-                    elif i < p:
-                        # planar rotation, partner sign is -signs[a]
-                        c_i = coeffs[i]
-                        c_p = coeffs[p]
-                        coeffs[i] = c_i * cos_r + c_p * (sin_r * -signs[a])
-                        coeffs[p] = c_p * cos_r + c_i * (sin_r * signs[a])
-                order = _argsort_rows(new_bits, np.arange(n_new))
-                out_bits = np.empty((n_rows + n_new, width), np.uint64)
-                out_coeffs = np.empty(n_rows + n_new, np.float64)
-                oi = 0
-                bi = 0
-                ni = 0
-                while bi < n_rows or ni < n_new:
-                    take_new = False
-                    if bi >= n_rows:
-                        take_new = True
-                    elif ni < n_new:
-                        take_new = _block_less(new_bits, order[ni], bits, bi, width)
-                    if take_new:
-                        src = order[ni]
-                        c = new_coeffs[src]
-                        ni += 1
-                        if (delta > 0.0 and abs(c) >= delta) or (delta == 0.0 and c != 0.0):
-                            for j in range(width):
-                                out_bits[oi, j] = new_bits[src, j]
-                            out_coeffs[oi] = c
-                            oi += 1
-                        else:
-                            truncated += 1
-                    else:
-                        c = coeffs[bi]
-                        if (delta > 0.0 and abs(c) >= delta) or (delta == 0.0 and c != 0.0):
-                            for j in range(width):
-                                out_bits[oi, j] = bits[bi, j]
-                            out_coeffs[oi] = c
-                            oi += 1
-                        else:
-                            truncated += 1
-                        bi += 1
-                bits = out_bits[:oi]
-                coeffs = out_coeffs[:oi]
-            return bits, coeffs, n_anti, eta_count, truncated, False
-
-        numba_impl = {
-            "anti_mask": _anti_mask_nb,
-            "row_phases": _row_phases_nb,
-            "branch_signs": _branch_signs_nb,
-            "find_rows": _find_rows_nb,
-            "lower_bound": _lower_bound_nb,
-            "gate": _gate_kernel_nb,
-        }
-    except ImportError:
-        numba_impl = None
-
-USING_NUMBA = numba_impl is not None
-
-_active = numba_impl if USING_NUMBA else numpy_impl
-
-anti_mask = _active["anti_mask"]
-row_phases = _active["row_phases"]
-branch_signs = _active["branch_signs"]
-find_rows = _active["find_rows"]
-lower_bound = _active["lower_bound"]
-
-
-def warmup():
-    """Trigger JIT compilation on tiny inputs (no-op for the numpy path)."""
-    bits = np.zeros((2, 2), dtype=np.uint64)
-    bits[1, 0] = 1
-    sigma = np.ones(2, dtype=np.uint64)
-    anti_mask(bits, sigma)
-    row_phases(bits)
-    branch_signs(bits, sigma, 0)
-    find_rows(bits, bits[:1])
-    lower_bound(bits, bits[:1])

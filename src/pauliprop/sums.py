@@ -21,7 +21,15 @@ DEFAULT_ROW_CAP = 2**31
 
 
 class RowCapExceeded(RuntimeError):
-    """Row count would exceed the configured hard cap."""
+    """Row count would exceed the configured hard cap.
+
+    Raised mid-evolution it carries the partial trace and state.
+    """
+
+    def __init__(self, message, trace=None, partial=None):
+        super().__init__(message)
+        self.trace = trace
+        self.partial = partial
 
 
 def truncate_arrays(bits, coeffs, delta):
@@ -97,11 +105,6 @@ class PauliSum:
     def coeffs(self) -> np.ndarray:
         """Canonical real coefficients, shape (num_terms,).  Do not mutate."""
         return self._coeffs[: self._size]
-
-    @property
-    def phases(self) -> np.ndarray:
-        """Canonical phase exponents per row: popcount(z & x) mod 4."""
-        return kernels.row_phases(self.bits)
 
     @property
     def index(self) -> dict:

@@ -1,13 +1,6 @@
 import numpy as np
 import pytest
 
-from pauliprop import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    kernels.warmup()
-
 
 @pytest.fixture
 def rng():

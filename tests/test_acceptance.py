@@ -364,7 +364,7 @@ def test_criterion_12_moment_identity():
 
 
 def test_criterion_13_pipeline_determinism(tmp_path):
-    def pipeline(tag: str, workers: str):
+    def pipeline(tag: str):
         base = tmp_path / tag
         base.mkdir()
         circ = base / "circ.json"
@@ -377,14 +377,13 @@ def test_criterion_13_pipeline_determinism(tmp_path):
         run_dir = base / "run"
         code = cli_main([
             "run", "--circuit", str(circ), "--observable", "Z62", "--delta", "1e-3",
-            "--out-dir", str(run_dir), "--workers", workers,
+            "--out-dir", str(run_dir),
         ])
         assert code == EXIT_OK
         conv_dir = base / "conv"
         code = cli_main([
             "converge", "--circuit", str(circ), "--observable", "Z62",
             "--t-cpu", "300", "--max-steps", "14", "--out-dir", str(conv_dir),
-            "--workers", workers,
         ])
         assert code == EXIT_OK
         return (
@@ -393,18 +392,14 @@ def test_criterion_13_pipeline_determinism(tmp_path):
             (conv_dir / "report.json").read_bytes(),
         )
 
-    runs = {
-        "w1": pipeline("w1", "1"),
-        "w4": pipeline("w4", "4"),
-        "w8": pipeline("w8", "8"),
-        "w1_repeat": pipeline("w1_repeat", "1"),
-    }
-    identical = len({r for r in runs.values()}) == 1
-    report = json.loads(runs["w1"][2])
+    fresh = pipeline("fresh")
+    repeat = pipeline("repeat")
+    identical = fresh == repeat
+    report = json.loads(fresh[2])
     _verdict(
         13,
         identical,
-        f"gen-circuit(seed 7) -> run -> converge byte-identical across workers "
-        f"{{1, 4, 8}} and a repeat execution: {identical} "
+        f"gen-circuit(seed 7) -> run -> converge byte-identical between a fresh "
+        f"and a repeat execution: {identical} "
         f"(report status {report['status']}, {len(report['steps'])} steps)",
     )

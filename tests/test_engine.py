@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from oracles import (
     dense_heisenberg,
     dense_heisenberg_expectation,
+    pauli_matrix,
     random_circuit_gates,
+    random_pauli_label,
     reference_partition,
     statevector_expectation,
     sum_as_dense,
@@ -151,6 +154,49 @@ class TestApplyRotation:
         assert sorted(zip(a.labels(), a.coeffs.tolist())) == sorted(
             zip(b.labels(), b.coeffs.tolist())
         )
+
+    @pytest.mark.parametrize(
+        "seed, theta", enumerate([0.3, -0.37, math.pi / 2, -math.pi / 2, math.pi, 2.2, -3.9])
+    )
+    def test_truncated_gate_matches_dense_decomposition(self, seed, theta):
+        delta = 0.05
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(4, 6))
+        sigma = random_pauli_label(rng, n)
+        for _ in range(100):
+            labels = sorted({random_pauli_label(rng, n) for _ in range(4**n // 4)})
+            # log-uniform in (delta, 1]: rows mid-evolution already passed the
+            # threshold, and a Clifford angle truncates nothing
+            mags = delta ** rng.random(len(labels))
+            terms = list(zip(labels, (mags * rng.choice([-1.0, 1.0], size=len(labels))).tolist()))
+            dense = dense_heisenberg([(sigma, theta)], terms, n)
+            want = {}
+            for letters in itertools.product("IXYZ", repeat=n):
+                label = "".join(letters)
+                c = np.trace(pauli_matrix(label) @ dense) / 2**n
+                assert abs(c.imag) < 1e-12
+                want[label] = c.real
+            if min(abs(abs(c) - delta) for c in want.values()) > 1e-9:
+                break
+        else:
+            pytest.fail("no draw keeps every coefficient 1e-9 away from delta")
+        want = {label: c for label, c in want.items() if abs(c) >= delta}
+
+        out, stats = apply_rotation(
+            PauliSum.from_terms(n, terms), PauliString.from_label(sigma), theta, delta
+        )
+        got = {p.to_label(): c for p, c in out.terms()}
+        assert stats.phi > 0.0
+        assert set(got) == set(want)
+        for label, c in want.items():
+            assert abs(got[label] - c) < 1e-12
+
+    def test_row_cap_raises_with_partial_state(self):
+        s = PauliSum.from_terms(3, [("Z0", 1.0), ("Z1", 0.5)], row_cap=2)
+        with pytest.raises(RowCapExceeded) as err:
+            apply_rotation(s, PauliString.from_label("X0*X1", 3), 0.3, 0.05)
+        assert err.value.partial is not None
+        assert sorted(err.value.partial.labels()) == sorted(s.labels())
 
     def test_non_hermitian_generator_rejected(self):
         plain = PauliString.from_label("X")

@@ -1,64 +1,13 @@
-import math
-
 import numpy as np
-import pytest
 
 from pauliprop import kernels
 
 
-def _random_rows(rng, rows, words_per_half, n_bits=None):
+def _random_rows(rng, rows, words_per_half):
     width = 2 * words_per_half
     bits = rng.integers(0, 2**63, size=(rows, width), dtype=np.int64).astype(np.uint64)
     bits |= rng.integers(0, 2, size=(rows, width), dtype=np.int64).astype(np.uint64) << np.uint64(63)
-    if n_bits is not None:
-        tail = n_bits % 64
-        if tail:
-            mask = np.uint64((1 << tail) - 1)
-            bits[:, words_per_half - 1] &= mask
-            bits[:, -1] &= mask
     return np.unique(bits, axis=0)
-
-
-@pytest.fixture(params=[1, 2], ids=["w1", "w2"])
-def rows_and_sigma(request, rng):
-    w = request.param
-    bits = _random_rows(rng, 400, w, n_bits=64 * w - 3)
-    sigma = _random_rows(rng, 8, w, n_bits=64 * w - 3)[0]
-    return bits, sigma
-
-
-@pytest.mark.skipif(kernels.numba_impl is None, reason="numba unavailable or disabled")
-class TestPathEquivalence:
-    def test_anti_mask(self, rows_and_sigma):
-        bits, sigma = rows_and_sigma
-        a = kernels.numpy_impl["anti_mask"](bits, sigma)
-        b = kernels.numba_impl["anti_mask"](bits, sigma)
-        assert np.array_equal(a, b)
-
-    def test_row_phases(self, rows_and_sigma):
-        bits, _ = rows_and_sigma
-        a = kernels.numpy_impl["row_phases"](bits)
-        b = kernels.numba_impl["row_phases"](bits)
-        assert np.array_equal(a, b)
-
-    def test_branch_signs(self, rows_and_sigma):
-        bits, sigma = rows_and_sigma
-        for alpha in range(4):
-            a = kernels.numpy_impl["branch_signs"](bits, sigma, alpha)
-            b = kernels.numba_impl["branch_signs"](bits, sigma, alpha)
-            assert np.array_equal(a, b)
-
-    def test_find_and_lower_bound(self, rows_and_sigma, rng):
-        bits, sigma = rows_and_sigma
-        order = kernels.sort_order(bits)
-        bits_sorted = np.ascontiguousarray(bits[order])
-        queries = np.vstack([bits[:50], bits[:50] ^ sigma])
-        a = kernels.numpy_impl["find_rows"](bits_sorted, queries)
-        b = kernels.numba_impl["find_rows"](bits_sorted, queries)
-        assert np.array_equal(a, b)
-        la = kernels.numpy_impl["lower_bound"](bits_sorted, queries)
-        lb = kernels.numba_impl["lower_bound"](bits_sorted, queries)
-        assert np.array_equal(la, lb)
 
 
 class TestAgainstPython:
@@ -74,14 +23,6 @@ class TestAgainstPython:
                 acc += int(row[w + j] & sigma[j]).bit_count()
             expect.append(bool(acc & 1))
         assert np.array_equal(kernels.anti_mask(bits, sigma), np.array(expect))
-
-    def test_row_phases_reference(self, rng):
-        bits = _random_rows(rng, 100, 2)
-        expect = [
-            (int(row[0] & row[2]).bit_count() + int(row[1] & row[3]).bit_count()) % 4
-            for row in bits
-        ]
-        assert np.array_equal(kernels.row_phases(bits), np.array(expect, dtype=np.uint8))
 
     def test_sort_order_matches_tuple_sort(self, rng):
         bits = _random_rows(rng, 200, 2)
@@ -108,57 +49,3 @@ class TestAgainstPython:
         assert np.array_equal(kernels.find_rows(empty, queries), np.full(3, -1))
         assert np.array_equal(kernels.lower_bound(empty, queries), np.zeros(3, dtype=np.int64))
         assert kernels.anti_mask(empty, np.ones(2, dtype=np.uint64)).shape == (0,)
-
-
-@pytest.mark.skipif(kernels.numba_impl is None, reason="numba unavailable or disabled")
-class TestFusedGateKernel:
-    """The fused gate kernel and the numpy composition must produce
-    bit-identical arrays, term counts, and truncation decisions."""
-
-    @pytest.mark.parametrize("theta", [0.0, 0.3, -0.37, math.pi / 2, -math.pi / 2, math.pi, 2.2, -3.9])
-    @pytest.mark.parametrize("delta", [0.0, 0.05])
-    def test_matches_numpy_gate(self, theta, delta, rng):
-        import math as _math
-
-        from pauliprop.engine import _gate_numpy, _reduce_angle
-        from pauliprop.pauli import PauliString
-        from pauliprop.sums import PauliSum
-
-        n = 5
-        s = PauliSum(n)
-        for _ in range(40):
-            label = "".join(rng.choice(list("IXYZ")) for _ in range(n))
-            s.insert_or_accumulate(PauliString.from_label(label), float(rng.normal()) or 0.2)
-        s.sort_canonical()
-        sigma = PauliString.from_label("XZIYI")
-        words = sigma.nu_words()
-        q, residual = _reduce_angle(theta)
-        cos_r = _math.cos(residual)
-        sin_r = _math.sin(residual) if residual != 0.0 else 0.0
-
-        b1, c1, a1, e1, t1, cap1 = kernels.numba_impl["gate"](
-            s.bits.copy(), s.coeffs.copy(), words, sigma.canonical_alpha(),
-            q, cos_r, sin_r, delta, 2**31,
-        )
-        b2, c2, a2, e2, t2, cap2 = _gate_numpy(
-            s.bits.copy(), s.coeffs.copy(), words, sigma.canonical_alpha(),
-            q, cos_r, sin_r, delta, 2**31,
-        )
-        assert (a1, e1, t1, cap1) == (a2, e2, t2, cap2)
-        assert np.array_equal(b1, b2)
-        assert np.array_equal(c1, c2)
-
-    def test_row_cap_signalled(self, rng):
-        from pauliprop.engine import _gate_numpy
-        from pauliprop.pauli import PauliString
-        from pauliprop.sums import PauliSum
-
-        s = PauliSum.from_terms(3, [("Z0", 1.0), ("Z1", 0.5)])
-        s.sort_canonical()
-        sigma = PauliString.from_label("X0*X1", 3)
-        words = sigma.nu_words()
-        for fn in (kernels.numba_impl["gate"], _gate_numpy):
-            _, _, _, _, _, capped = fn(
-                s.bits.copy(), s.coeffs.copy(), words, 0, 0, math.cos(0.3), math.sin(0.3), 0.0, 2
-            )
-            assert capped
