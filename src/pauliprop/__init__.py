@@ -14,13 +14,11 @@ from .circuits import (
 from .engine import (
     BudgetExceeded,
     GateStats,
-    PartitionResult,
     RowCapExceeded,
     TraceLog,
     apply_rotation,
     evolve,
     expectation,
-    partition,
 )
 from .pauli import (
     InvariantViolation,
@@ -49,11 +47,9 @@ __all__ = [
     "builtin_topology",
     "evolve",
     "apply_rotation",
-    "partition",
     "expectation",
     "TraceLog",
     "GateStats",
-    "PartitionResult",
     "commutes",
     "multiply_by_generator",
     "expectation_on_zero",

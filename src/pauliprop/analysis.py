@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .engine import TraceLog, partition
+from .engine import TraceLog, _prepare_generator, _scan
+from .estimator import _ols
 from .pauli import PauliString
 from .sums import PauliSum
 
@@ -215,34 +216,17 @@ def fit_m_regression(abs_coeffs, delta: float, l: float = 1.0) -> MFitResult:
         raise ValueError("fewer than 2 populated bins; cannot fit a slope")
     x = np.log(centers[populated])
     y = np.log(counts[populated] / (values.size * 2.0 * half))
-    slope, intercept, stderr, r2 = _ols(x, y)
+    fit = _ols(x, y)
     return MFitResult(
         method="regression",
-        m=-slope - 1.0,
+        m=-fit.slope - 1.0,
         x_min=l * delta,
-        stderr=stderr,
-        r_squared=r2,
+        stderr=fit.stderr,
+        r_squared=fit.r_squared,
         n_samples=in_window,
         n_bins=int(populated.sum()),
         low_sample_warning=in_window < 1000,
     )
-
-
-def _ols(x: np.ndarray, y: np.ndarray):
-    n = len(x)
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    if sxx == 0.0:
-        raise ValueError("degenerate fit: all abscissae identical")
-    sxy = float(np.sum((x - xm) * (y - ym)))
-    slope = sxy / sxx
-    intercept = ym - slope * xm
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - ym) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    stderr = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else float("nan")
-    return slope, intercept, stderr, r2
 
 
 def fit_m_mle(abs_coeffs, x_min: float) -> float:
@@ -470,11 +454,16 @@ def merge_pair_correlation(s: PauliSum, sigma: PauliString) -> float:
     Diagnostic for the independence assumption behind the convolution model;
     returns NaN when fewer than 2 pairs exist.
     """
-    part = partition(s, sigma)
-    if len(part.pairs) < 2:
+    words = _prepare_generator(sigma, s.n)[0]
+    _anti, anti_idx, pos = _scan(s.bits, words)
+    if pos is None:
         return float("nan")
-    a = np.abs(s.coeffs[part.pairs[:, 0]])
-    b = np.abs(s.coeffs[part.pairs[:, 1]])
+    # each pair {P, i sigma P} once, from its lower slot
+    first = anti_idx < pos
+    if np.count_nonzero(first) < 2:
+        return float("nan")
+    a = np.abs(s.coeffs[anti_idx[first]])
+    b = np.abs(s.coeffs[pos[first]])
     va = a - a.mean()
     vb = b - b.mean()
     denom = math.sqrt(float(np.dot(va, va)) * float(np.dot(vb, vb)))

@@ -8,6 +8,7 @@ observable.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -141,9 +142,11 @@ class Circuit:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for g, _theta in self.gates:
+        for k, (g, theta) in enumerate(self.gates, start=1):
             if g.n != self.n:
                 raise CircuitError(f"generator on {g.n} qubits inside n={self.n} circuit")
+            if not math.isfinite(theta):
+                raise CircuitError(f"gate {k} ({g.to_sparse_label()}) has non-finite angle {theta!r}")
 
     def __len__(self) -> int:
         return len(self.gates)

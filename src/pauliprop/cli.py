@@ -556,13 +556,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if config:
         # config fills defaults; explicit flags still win
+        unused = set(config)
         for sub in _iter_subparsers(parser):
             known = {a.dest: a for a in sub._actions}
             overrides = {k: v for k, v in config.items() if k in known}
             if overrides:
                 sub.set_defaults(**overrides)
+                unused -= set(overrides)
                 for dest in overrides:
                     known[dest].required = False
+        if unused:
+            print(f"warning: no command takes config key(s) {', '.join(sorted(unused))}; ignored",
+                  file=sys.stderr)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -24,15 +24,14 @@ import numpy as np
 from . import kernels
 from .circuits import Circuit
 from .pauli import InvariantViolation, PauliError, PauliString
-from .sums import PauliSum, RowCapExceeded
+from .sums import PauliSum
 
 __all__ = [
     "GateStats",
     "TraceLog",
-    "PartitionResult",
     "BudgetExceeded",
     "RowCapExceeded",
-    "partition",
+    "DEFAULT_ROW_CAP",
     "apply_rotation",
     "evolve",
     "expectation",
@@ -40,9 +39,20 @@ __all__ = [
 
 _HALF_PI = math.pi / 2.0
 
+DEFAULT_ROW_CAP = 2**31
+
 
 class BudgetExceeded(RuntimeError):
     """Wall-clock budget ran out; carries the partial trace and state."""
+
+    def __init__(self, message, trace=None, partial=None):
+        super().__init__(message)
+        self.trace = trace
+        self.partial = partial
+
+
+class RowCapExceeded(RuntimeError):
+    """Row count would exceed the cap; carries the partial trace and state."""
 
     def __init__(self, message, trace=None, partial=None):
         super().__init__(message)
@@ -94,10 +104,6 @@ class TraceLog:
                 return g.k
         return 0
 
-    @property
-    def total_elapsed_s(self) -> float:
-        return sum(g.elapsed_ns for g in self.gates) * 1e-9
-
     def finalize(self) -> None:
         """Check the trivial memory bound N_max <= ||O||^2 / delta^2."""
         if self.delta > 0 and self.gates:
@@ -107,15 +113,6 @@ class TraceLog:
                     f"N_max={self.n_max} exceeds trivial bound {bound:.6g} "
                     f"(norm={self.initial_norm}, delta={self.delta})"
                 )
-
-    def phi_series(self) -> np.ndarray:
-        return np.array([g.phi for g in self.gates])
-
-    def eta_series(self) -> np.ndarray:
-        return np.array([g.eta for g in self.gates])
-
-    def n_series(self) -> np.ndarray:
-        return np.array([g.n_after for g in self.gates], dtype=np.int64)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -160,20 +157,6 @@ class TraceLog:
         return out
 
 
-@dataclass
-class PartitionResult:
-    """Row partition against an upcoming gate generator.
-
-    ``pairs`` lists each merge pair {P, iσP} once as (slot_a, slot_b) with
-    slot_a < slot_b; ``unpaired`` are anti rows whose partner is absent.
-    """
-
-    comm: np.ndarray
-    anti: np.ndarray
-    pairs: np.ndarray
-    unpaired: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # generator preparation and angle reduction
 # ---------------------------------------------------------------------------
@@ -207,32 +190,6 @@ def _reduce_angle(theta: float) -> tuple[int, float]:
     q = round(theta / _HALF_PI)
     residual = theta - q * _HALF_PI
     return q % 4, residual
-
-
-# ---------------------------------------------------------------------------
-# public partition (arbitrary row order)
-# ---------------------------------------------------------------------------
-
-
-def partition(s: PauliSum, sigma: PauliString) -> PartitionResult:
-    """Split rows into commuting/anti-commuting sets and find merge pairs."""
-    words, _canon, _orient, has_support = _prepare_generator(sigma, s.n)
-    bits = s.bits
-    anti_mask = kernels.anti_mask(bits, words)
-    anti_idx = np.flatnonzero(anti_mask)
-    comm_idx = np.flatnonzero(~anti_mask)
-    if len(anti_idx) == 0 or not has_support:
-        return PartitionResult(comm_idx, anti_idx, np.empty((0, 2), np.int64), anti_idx[:0])
-    order = kernels.sort_order(bits)
-    bits_sorted = np.ascontiguousarray(bits[order])
-    partner_bits = bits[anti_idx] ^ words
-    pos = kernels.find_rows(bits_sorted, partner_bits)
-    found = pos >= 0
-    partner_slots = order[pos[found]]
-    a = anti_idx[found]
-    first = a < partner_slots
-    pairs = np.stack([a[first], partner_slots[first]], axis=1)
-    return PartitionResult(comm_idx, anti_idx, pairs, anti_idx[~found])
 
 
 # ---------------------------------------------------------------------------
@@ -358,37 +315,15 @@ def _run_gate(bits, coeffs, prep, theta, delta, row_cap):
 
 
 def apply_rotation(
-    s: PauliSum, sigma: PauliString, theta: float, delta: float, k: int = 1
+    s: PauliSum, sigma: PauliString, theta: float, delta: float, row_cap: int | None = None
 ) -> tuple[PauliSum, GateStats]:
     """Apply one Pauli rotation with post-gate truncation.
 
-    Returns a new PauliSum (canonical row order) and the gate stats.
+    An :func:`evolve` over a one-gate circuit; returns the new PauliSum and
+    the gate stats.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    prep = _prepare_generator(sigma, s.n)
-    start = time.perf_counter_ns()
-    out = s.copy()
-    out.sort_canonical()
-    bits = out.bits.copy()
-    coeffs = out.coeffs.copy()
-    n_before = len(coeffs)
-    bits, coeffs, phi, eta, truncated, capped = _run_gate(
-        bits, coeffs, prep, theta, delta, s.row_cap
-    )
-    if capped:
-        raise RowCapExceeded(
-            f"{n_before} rows would branch past the cap {s.row_cap}",
-            partial=PauliSum._from_arrays(s.n, bits, coeffs, row_cap=s.row_cap),
-        )
-    norm_after = float(np.sqrt(np.dot(coeffs, coeffs)))
-    stats = GateStats(
-        k=k, theta=theta, phi=phi, eta=eta, n_before=n_before, n_after=len(coeffs),
-        truncated=truncated, norm_after=norm_after, elapsed_ns=time.perf_counter_ns() - start,
-    )
-    return PauliSum._from_arrays(s.n, bits, coeffs, row_cap=s.row_cap), stats
+    final, trace = evolve(Circuit(n=s.n, gates=((sigma, theta),)), s, delta, row_cap=row_cap)
+    return final, trace.gates[0]
 
 
 def evolve(
@@ -416,13 +351,15 @@ def evolve(
         Wall-clock budget; exceeding it raises BudgetExceeded carrying the
         partial trace.
     row_cap : int, optional
-        Hard cap on row count (default: the observable's cap).
+        Hard cap on row count (default DEFAULT_ROW_CAP); exceeding it
+        raises RowCapExceeded carrying the partial trace.
     """
     if circuit.n != observable.n:
         raise PauliError(f"circuit n={circuit.n} vs observable n={observable.n}")
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    cap = observable.row_cap if row_cap is None else row_cap
+    cap = DEFAULT_ROW_CAP if row_cap is None else row_cap
+    n = circuit.n
 
     snap_at = set(int(k) for k in snapshot_gates)
     if snapshot_steps:
@@ -437,15 +374,15 @@ def evolve(
     for sigma, _theta in circuit.gates:
         prep = prep_cache.get(id(sigma))
         if prep is None:
-            prep = _prepare_generator(sigma, circuit.n)
+            prep = _prepare_generator(sigma, n)
             prep_cache[id(sigma)] = prep
         preps.append(prep)
 
-    trace = TraceLog(n=circuit.n, delta=delta, initial_norm=observable.raw_norm())
-    state = observable.copy()
-    state.sort_canonical()
-    bits = state.bits.copy()
-    coeffs = state.coeffs.copy()
+    trace = TraceLog(n=n, delta=delta, initial_norm=observable.raw_norm())
+    # the gate writes coefficients in place and never bits, so only the
+    # coefficients are copied, here and for snapshots
+    bits = observable.bits
+    coeffs = observable.coeffs.copy()
 
     gates = trace.gates
     peak = -1
@@ -458,7 +395,7 @@ def evolve(
             raise BudgetExceeded(
                 f"budget {budget_s}s exhausted at gate {k}/{len(circuit.gates)}",
                 trace=trace,
-                partial=PauliSum._from_arrays(circuit.n, bits, coeffs, row_cap=cap),
+                partial=PauliSum(n, bits, coeffs),
             )
         gate_start = time.perf_counter_ns()
         n_before = len(coeffs)
@@ -470,7 +407,7 @@ def evolve(
             raise RowCapExceeded(
                 f"row cap {cap} exceeded at gate {k}/{len(circuit.gates)}",
                 trace=trace,
-                partial=PauliSum._from_arrays(circuit.n, bits, coeffs, row_cap=cap),
+                partial=PauliSum(n, bits, coeffs),
             )
         norm_after = math.sqrt(float(np.dot(coeffs, coeffs)))
         gates.append(
@@ -482,18 +419,13 @@ def evolve(
         )
         if instrumented:
             if k in snap_at:
-                trace.snapshots[k] = PauliSum._from_arrays(
-                    circuit.n, bits.copy(), coeffs.copy(), row_cap=cap
-                )
+                trace.snapshots[k] = PauliSum(n, bits, coeffs.copy())
             if track_peak_snapshot and len(coeffs) > peak:
                 peak = len(coeffs)
-                trace.peak_snapshot = (
-                    k,
-                    PauliSum._from_arrays(circuit.n, bits.copy(), coeffs.copy(), row_cap=cap),
-                )
+                trace.peak_snapshot = (k, PauliSum(n, bits, coeffs.copy()))
 
     trace.finalize()
-    return PauliSum._from_arrays(circuit.n, bits, coeffs, row_cap=cap), trace
+    return PauliSum(n, bits, coeffs), trace
 
 
 def expectation(s: PauliSum) -> float:

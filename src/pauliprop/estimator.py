@@ -96,6 +96,7 @@ class RegressionFit:
     intercept: float
     r_squared: float
     n_points: int
+    stderr: float  # of the slope, NaN below 3 points; not in to_json_dict
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,6 +191,7 @@ def run_probes(
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> RegressionFit:
+    """Ordinary least squares of y on x."""
     n = len(x)
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
@@ -198,9 +200,13 @@ def _ols(x: np.ndarray, y: np.ndarray) -> RegressionFit:
     slope = float(np.sum((x - xm) * (y - ym))) / sxx
     intercept = ym - slope * xm
     resid = y - (slope * x + intercept)
+    ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - ym) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return RegressionFit(slope=slope, intercept=float(intercept), r_squared=r2, n_points=n)
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    stderr = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else float("nan")
+    return RegressionFit(
+        slope=slope, intercept=float(intercept), r_squared=r2, n_points=n, stderr=stderr
+    )
 
 
 def predict_nmax(series: ProbeSeries, targets) -> ResourcePrediction:

@@ -394,14 +394,14 @@ class TestEtaSpikes:
 
 class TestMergePairCorrelation:
     def test_reports_correlation_in_range(self, rng):
-        s = PauliSum(3)
+        terms = []
         # construct pairs under sigma = X0: rows Z0*P and Y0*P
         for tail in ("I", "X", "Y", "Z"):
             base = "Z0" if tail == "I" else f"Z0*{tail}1"
             partner = "Y0" if tail == "I" else f"Y0*{tail}1"
             c = float(rng.normal()) or 0.3
-            s.insert_or_accumulate(PauliString.from_label(base, 3), c)
-            s.insert_or_accumulate(PauliString.from_label(partner, 3), c * 0.9 + 0.01)
+            terms += [(base, c), (partner, c * 0.9 + 0.01)]
+        s = PauliSum.from_terms(3, terms)
         rho = merge_pair_correlation(s, PauliString.from_label("X0", 3))
         assert -1.0 <= rho <= 1.0
         assert rho > 0.5  # constructed to correlate

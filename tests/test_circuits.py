@@ -187,3 +187,9 @@ class TestSerialization:
     def test_generator_size_validated(self):
         with pytest.raises(CircuitError):
             Circuit(n=3, gates=((PauliString.from_label("X0", 2), 0.1),))
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        gates = ((PauliString.from_label("X0", 3), 0.1), (PauliString.from_label("Z1*Z2", 3), theta))
+        with pytest.raises(CircuitError, match=r"gate 2 \(Z1\*Z2\)"):
+            Circuit(n=3, gates=gates)

@@ -133,6 +133,21 @@ class TestRun:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["aborted"] == "row_cap"
 
+    @pytest.mark.parametrize("angle", ["Infinity", "NaN"])
+    def test_non_finite_angle_usage_error(self, small_circuit, tmp_path, capsys, angle):
+        text = small_circuit.read_text()
+        payload = json.loads(text)
+        payload["gates"][4][1] = float(angle)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code = main([
+            "run", "--circuit", str(bad), "--observable", "Z2",
+            "--delta", "1e-3", "--out-dir", str(tmp_path / "bad_run"),
+        ])
+        assert code == EXIT_USAGE
+        label = payload["gates"][4][0]
+        assert f"gate 5 ({label}) has non-finite angle" in capsys.readouterr().err
+
     def test_observable_file(self, small_circuit, tmp_path):
         obs_path = tmp_path / "obs.json"
         obs_path.write_text(json.dumps({"terms": [["Z2", 0.5], ["Z0*Z1", 0.25]]}))
@@ -220,13 +235,11 @@ class TestAnalyze:
         from pauliprop import PauliSum
 
         mags = power_law_samples(1.6, 1e-4, 4000, rng)
-        s = PauliSum(30)
-        from pauliprop import PauliString
-
+        terms = []
         for i, c in enumerate(mags):
             q1, q2 = i % 30, (i * 7 + 3) % 30
-            label = f"Z{q1}" if q1 == q2 else f"Z{q1}*X{q2}"
-            s.insert_or_accumulate(PauliString.from_label(label, 30), float(c))
+            terms.append((f"Z{q1}" if q1 == q2 else f"Z{q1}*X{q2}", float(c)))
+        s = PauliSum.from_terms(30, terms)
         path = tmp_path / "snap.npz"
         s.to_npz(path, gate_index=50, delta=1e-4)
         return path
@@ -306,6 +319,18 @@ class TestConfigPrecedence:
         ])
         assert code == EXIT_OK
         assert json.loads((out_b / "summary.json").read_text())["delta"] == 0.5
+
+    def test_unknown_config_key_named_on_stderr(self, small_circuit, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0.25, "detla": 0.5, "workers": 4}))
+        code = main([
+            "run", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--config", str(cfg), "--out-dir", str(tmp_path / "run"),
+        ])
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        assert "detla, workers" in err
+        assert "delta," not in err
 
     def test_missing_config_file(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.json"),

@@ -28,7 +28,6 @@ from pauliprop import (
     evolve,
     expectation,
     kicked_ising,
-    partition,
 )
 from pauliprop.engine import GateStats
 
@@ -38,55 +37,6 @@ def _circuit(n, label_theta_pairs):
         n=n,
         gates=tuple((PauliString.from_label(lbl, n), th) for lbl, th in label_theta_pairs),
     )
-
-
-class TestPartition:
-    def test_single_anti_row(self):
-        s = PauliSum.from_terms(1, [("Z", 1.0)])
-        part = partition(s, PauliString.from_label("X"))
-        assert len(part.comm) == 0
-        assert list(part.anti) == [0]
-        assert part.pairs.shape == (0, 2)
-        assert list(part.unpaired) == [0]
-
-    def test_merge_pair_detected(self):
-        s = PauliSum.from_terms(1, [("Z", 1.0), ("Y", 0.5)])
-        part = partition(s, PauliString.from_label("X"))
-        assert len(part.anti) == 2
-        assert part.pairs.shape == (1, 2)
-        assert len(part.unpaired) == 0
-        # derived: i X Z is proportional to Y
-        from oracles import pauli_matrix
-
-        prod = 1j * pauli_matrix("X") @ pauli_matrix("Z")
-        assert np.allclose(prod, pauli_matrix("Y"))
-
-    def test_disjoint_supports_commute(self):
-        s = PauliSum.from_terms(2, [("Z0", 1.0)])
-        part = partition(s, PauliString.from_label("Z1", 2))
-        assert list(part.comm) == [0]
-        assert len(part.anti) == 0
-
-    def test_identity_generator_all_commuting(self):
-        s = PauliSum.from_terms(2, [("Z0", 1.0), ("X1", 0.5)])
-        part = partition(s, PauliString.identity(2))
-        assert len(part.comm) == 2 and len(part.anti) == 0
-
-    def test_sets_cover_disjointly(self, rng):
-        s = PauliSum(4)
-        for i in range(25):
-            s.insert_or_accumulate(
-                PauliString.from_label(
-                    "".join(rng.choice(list("IXYZ")) for _ in range(4))
-                ),
-                float(rng.normal()) or 0.1,
-            )
-        sigma = PauliString.from_label("XZII")
-        part = partition(s, sigma)
-        assert sorted(list(part.comm) + list(part.anti)) == list(range(len(s)))
-        comm_ref, anti_ref, _, _ = reference_partition(s, sigma)
-        assert sorted(part.comm) == comm_ref
-        assert sorted(part.anti) == anti_ref
 
 
 class TestApplyRotation:
@@ -191,12 +141,21 @@ class TestApplyRotation:
         for label, c in want.items():
             assert abs(got[label] - c) < 1e-12
 
+    def test_boundary_value_survives(self):
+        # truncation keeps |c| >= delta: the commuting row X1 passes the gate unchanged
+        delta = 3.5e-4
+        for c, kept in ((delta, True), (np.nextafter(delta, 0.0), False)):
+            s = PauliSum.from_terms(2, [("Z0", 1.0), ("X1", c)])
+            out, stats = apply_rotation(s, PauliString.from_label("X0", 2), 0.3, delta)
+            assert (PauliString.from_label("X1", 2) in out) == kept
+            assert stats.truncated == (0 if kept else 1)
+
     def test_row_cap_raises_with_partial_state(self):
-        s = PauliSum.from_terms(3, [("Z0", 1.0), ("Z1", 0.5)], row_cap=2)
+        s = PauliSum.from_terms(3, [("Z0", 1.0), ("Z1", 0.5)])
         with pytest.raises(RowCapExceeded) as err:
-            apply_rotation(s, PauliString.from_label("X0*X1", 3), 0.3, 0.05)
+            apply_rotation(s, PauliString.from_label("X0*X1", 3), 0.3, 0.05, row_cap=2)
         assert err.value.partial is not None
-        assert sorted(err.value.partial.labels()) == sorted(s.labels())
+        assert err.value.partial.labels() == s.labels()
 
     def test_non_hermitian_generator_rejected(self):
         plain = PauliString.from_label("X")
@@ -272,12 +231,11 @@ class TestEvolve:
 
     def test_phi_eta_match_reference(self, rng):
         n = 4
-        s = PauliSum(n)
-        for _ in range(30):
-            s.insert_or_accumulate(
-                PauliString.from_label("".join(rng.choice(list("IXYZ")) for _ in range(n))),
-                float(rng.normal()) or 0.1,
-            )
+        terms = [
+            ("".join(rng.choice(list("IXYZ")) for _ in range(n)), float(rng.normal()) or 0.1)
+            for _ in range(30)
+        ]
+        s = PauliSum.from_terms(n, terms)
         sigma = PauliString.from_label("XIZY")
         circ = Circuit(n=n, gates=((sigma, 0.5),))
         _, trace = evolve(circ, s, 0.0)
@@ -317,9 +275,9 @@ class TestEvolve:
     def test_row_cap_abort_carries_partial_trace(self):
         topo = Topology.grid(3, 3)
         circ = kicked_ising(topo, T=4, theta_zz=-0.7, theta_x_spec=FixedAngle(0.4))
-        obs = PauliSum.from_terms(9, [("Z4", 1.0)], row_cap=16)
+        obs = PauliSum.from_terms(9, [("Z4", 1.0)])
         with pytest.raises(RowCapExceeded) as err:
-            evolve(circ, obs, 0.0)
+            evolve(circ, obs, 0.0, row_cap=16)
         assert err.value.trace is not None
         assert err.value.trace.aborted == "row_cap"
         assert len(err.value.trace.gates) > 0

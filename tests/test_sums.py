@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauliprop import PauliString, PauliSum, RowCapExceeded
+from pauliprop import PauliString, PauliSum, kernels
 
 
 def _sum_from(n, pairs):
@@ -17,8 +17,7 @@ class TestInsertOrAccumulate:
         assert s.coefficient_of(PauliString.from_label("Z0", 3)) == 1.0
 
     def test_exact_cancellation_removes_row(self):
-        s = _sum_from(3, [("Z0", 1.0)])
-        s.insert_or_accumulate(PauliString.from_label("Z0", 3), -1.0)
+        s = _sum_from(3, [("Z0", 1.0), ("Z0", -1.0)])
         assert len(s) == 0
 
     def test_distinct_rows_append(self):
@@ -34,58 +33,12 @@ class TestInsertOrAccumulate:
         # alpha=2 represents the negated plain string
         p0 = PauliString.from_label("Z0", 2)
         p_neg = PauliString(n=2, z=p0.z, x=p0.x, alpha=2)
-        s = PauliSum(2)
-        s.insert_or_accumulate(p_neg, 1.0)
+        s = _sum_from(2, [(p_neg, 1.0)])
         assert s.coefficient_of(p0) == -1.0
 
     def test_size_mismatch(self):
-        s = PauliSum(2)
         with pytest.raises(Exception):
-            s.insert_or_accumulate(PauliString.from_label("Z0", 3), 1.0)
-
-    def test_row_cap(self):
-        s = PauliSum(4, row_cap=2)
-        s.insert_or_accumulate(PauliString.from_label("Z0", 4), 1.0)
-        s.insert_or_accumulate(PauliString.from_label("Z1", 4), 1.0)
-        with pytest.raises(RowCapExceeded):
-            s.insert_or_accumulate(PauliString.from_label("Z2", 4), 1.0)
-
-
-class TestTruncate:
-    def test_removes_below_threshold(self):
-        s = _sum_from(3, [("Z0", 1.0), ("Y1", 1e-6)])
-        removed = s.truncate(1e-5)
-        assert removed == 1 and len(s) == 1
-
-    def test_delta_zero_is_identity(self):
-        s = _sum_from(3, [("Z0", 1.0), ("Y1", 1e-12)])
-        assert s.truncate(0.0) == 0 and len(s) == 2
-
-    def test_boundary_value_survives(self):
-        delta = 3.5e-4
-        s = _sum_from(2, [("Z0", delta)])
-        assert s.truncate(delta) == 0 and len(s) == 1
-
-    def test_idempotent(self):
-        s = _sum_from(4, [("Z0", 0.5), ("X1", 0.2), ("Y2", 1e-3), ("Z3", 0.09)])
-        s.truncate(0.1)
-        before = sorted(zip(s.labels(), s.coeffs.tolist()))
-        assert s.truncate(0.1) == 0
-        assert sorted(zip(s.labels(), s.coeffs.tolist())) == before
-
-    def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            _sum_from(2, [("Z0", 1.0)]).truncate(-1.0)
-
-    @given(st.lists(st.floats(-2, 2).filter(lambda v: v != 0.0), min_size=1, max_size=30))
-    @settings(max_examples=40)
-    def test_row_count_respects_trivial_bound(self, coeffs):
-        s = PauliSum(6)
-        for i, c in enumerate(coeffs):
-            s.insert_or_accumulate(PauliString.from_label(f"Z{i % 6}*X{(i + 1) % 6}" if i % 2 else f"Z{i % 6}", 6), c)
-        delta = 0.3
-        s.truncate(delta)
-        assert len(s) <= s.raw_norm() ** 2 / delta**2 + 1e-9
+            _sum_from(2, [(PauliString.from_label("Z0", 3), 1.0)])
 
 
 class TestNorm:
@@ -93,39 +46,51 @@ class TestNorm:
         assert _sum_from(2, [("Z0", 1.0)]).raw_norm() == 1.0
 
     def test_empty(self):
-        assert PauliSum(2).raw_norm() == 0.0
+        assert _sum_from(2, []).raw_norm() == 0.0
 
     def test_three_four_five(self):
         s = _sum_from(3, [("Z0", 0.6), ("Y1", 0.8)])
         assert abs(s.raw_norm() - 1.0) < 1e-15
 
     def test_matches_naive_loop(self, rng):
-        s = PauliSum(5)
-        for i in range(20):
-            s.insert_or_accumulate(
-                PauliString.from_label(f"Z{i % 5}*X{(i + 2) % 5}", 5), float(rng.normal())
-            )
+        s = _sum_from(5, [(f"Z{i % 5}*X{(i + 2) % 5}", float(rng.normal())) for i in range(20)])
         naive = sum(c * c for _, c in s.terms())
         assert abs(s.raw_norm() ** 2 - naive) < 1e-12 * max(1.0, naive)
 
 
-class TestStructure:
-    def test_index_is_bijection(self):
-        s = _sum_from(4, [("Z0", 1.0), ("X1", 0.5), ("Y2*Z3", 0.25)])
-        assert len(s.index) == len(s)
-        for key, slot in s.index.items():
-            assert s.bits[slot].tobytes() == key
+def _labels(n):
+    """Sparse labels of weight 1-3 on n qubits."""
+    factor = st.tuples(st.integers(0, n - 1), st.sampled_from("XYZ"))
+    return st.lists(factor, min_size=1, max_size=3, unique_by=lambda f: f[0]).map(
+        lambda fs: "*".join(f"{letter}{q}" for q, letter in fs)
+    )
 
+
+class TestStructure:
     def test_no_zero_coefficients_stored(self):
-        s = _sum_from(3, [("Z0", 1.0)])
-        s.insert_or_accumulate(PauliString.from_label("X1", 3), 0.0)
+        s = _sum_from(3, [("Z0", 1.0), ("X1", 0.0)])
         assert len(s) == 1
 
-    def test_sort_canonical_orders_rows(self):
-        s = _sum_from(4, [("X3", 0.2), ("Z0", 1.0), ("Y2", 0.5)])
-        s.sort_canonical()
-        keys = [s.bits[i].tobytes() for i in range(len(s))]
-        assert keys == sorted(keys)
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_unique_canonical_and_nonzero(self, data):
+        # n = 3, 70, 130: one, two and three words per half
+        n = data.draw(st.sampled_from([3, 70, 130]))
+        pool = data.draw(st.lists(_labels(n), min_size=1, max_size=6))
+        coeff = st.floats(-2.0, 2.0, allow_nan=False) | st.sampled_from([0.0, 0.5, -0.5])
+        terms = data.draw(st.lists(st.tuples(st.sampled_from(pool), coeff), max_size=24))
+        s = PauliSum.from_terms(n, terms)
+
+        assert np.array_equal(kernels.sort_order(s.bits), np.arange(len(s)))
+        assert len({row.tobytes() for row in s.bits}) == len(s)
+        assert np.all(s.coeffs != 0.0)
+        want: dict[str, float] = {}
+        for label, c in terms:
+            key = PauliString.from_label(label, n).to_sparse_label()
+            want[key] = want.get(key, 0.0) + c
+        assert dict(zip(s.labels(), s.coeffs.tolist())) == {
+            k: v for k, v in want.items() if v != 0.0
+        }
 
     def test_contains_and_string_at(self):
         s = _sum_from(4, [("Y2*Z3", 0.25)])
@@ -140,9 +105,8 @@ class TestSnapshots:
         path = tmp_path / "snap.csv"
         s.to_csv(path)
         back = PauliSum.from_csv(path, 5)
-        assert sorted(zip(back.labels(), back.coeffs.tolist())) == sorted(
-            zip(s.labels(), s.coeffs.tolist())
-        )
+        assert np.array_equal(back.bits, s.bits)
+        assert np.array_equal(back.coeffs, s.coeffs)
 
     def test_npz_round_trip(self, tmp_path):
         s = _sum_from(127, [("Z62", 0.75), ("X0*Z126", -0.25)])
@@ -152,6 +116,22 @@ class TestSnapshots:
         assert back.n == 127
         assert np.array_equal(back.bits, s.bits)
         assert np.array_equal(back.coeffs, s.coeffs)
+
+    def test_npz_in_any_row_order_loads_canonical(self, tmp_path):
+        s = _sum_from(70, [("Z0", 1.0), ("X65", -0.5), ("Y3*Z69", 0.25), ("X1", 0.125)])
+        shuffle = [2, 0, 3, 1]
+        path = tmp_path / "shuffled.npz"
+        np.savez_compressed(path, n=70, bits=s.bits[shuffle], coeffs=s.coeffs[shuffle])
+        back = PauliSum.from_npz(path)
+        assert np.array_equal(back.bits, s.bits)
+        assert np.array_equal(back.coeffs, s.coeffs)
+
+    def test_npz_repeated_row_rejected(self, tmp_path):
+        s = _sum_from(4, [("Z0", 1.0), ("X1", 0.5)])
+        path = tmp_path / "repeated.npz"
+        np.savez_compressed(path, n=4, bits=s.bits[[1, 0, 1]], coeffs=np.array([0.5, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="repeats"):
+            PauliSum.from_npz(path)
 
     def test_csv_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
