@@ -455,7 +455,7 @@ def merge_pair_correlation(s: PauliSum, sigma: PauliString) -> float:
     returns NaN when fewer than 2 pairs exist.
     """
     words = _prepare_generator(sigma, s.n)[0]
-    _anti, anti_idx, pos = _scan(s.bits, words)
+    anti_idx, pos = _scan(s.bits, words)
     if pos is None:
         return float("nan")
     # each pair {P, i sigma P} once, from its lower slot

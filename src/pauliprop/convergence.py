@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 from .circuits import Circuit
 from .engine import BudgetExceeded, RowCapExceeded, evolve, expectation
-from .estimator import (
-    EstimationImpossible,
-    ProbeResult,
-    ProbeSeries,
-    predict_runtime,
-)
+from .estimator import EstimationImpossible, predict_runtime
 from .sums import PauliSum
 
 __all__ = [
@@ -150,7 +145,7 @@ class Classification:
     extrapolated_costs: list[float] | None = None
 
 
-def _finish(report: ConvergenceReport, circuit_gates: int) -> ConvergenceReport:
+def _finish(report: ConvergenceReport) -> ConvergenceReport:
     ests = report.estimates()
     if ests:
         report.estimate_range = (min(ests), max(ests))
@@ -162,21 +157,10 @@ def _finish(report: ConvergenceReport, circuit_gates: int) -> ConvergenceReport:
             report.local_minimum_risk = (max(widened) - min(widened)) > report.config.eps_tol
     # runtime extrapolation for the next two steps, whatever the status
     if len(report.steps) >= 2:
-        series = ProbeSeries(
-            probes=[
-                ProbeResult(
-                    delta=s.delta, n_max=s.n_max, k_star=0, norm_at_k_star=1.0,
-                    runtime_s=s.runtime_s, gate_count=circuit_gates, expectation=s.estimate,
-                )
-                for s in report.steps
-            ],
-            delta_0=report.config.delta_0, ratio=report.config.ratio,
-            requested_count=len(report.steps), initial_norm=1.0, n_qubits=0,
-        )
         next_n = report.steps[-1].n + 1
         targets = [report.config.delta_at(next_n), report.config.delta_at(next_n + 1)]
         try:
-            pred = predict_runtime(series, targets)
+            pred = predict_runtime(report.steps, targets)
             report.extrapolated_runtime_s = pred.runtime_s
         except (EstimationImpossible, ValueError):
             report.extrapolated_runtime_s = None
@@ -215,7 +199,7 @@ def run_protocol(circuit: Circuit, observable: PauliSum, config: ConvergenceConf
             report.status = STATUS_BUDGET
             break
         except RowCapExceeded as exc:
-            exc.report = _finish(report, len(circuit.gates))
+            exc.report = _finish(report)
             raise
         runtime = time.monotonic() - t0
         report.steps.append(
@@ -233,7 +217,7 @@ def run_protocol(circuit: Circuit, observable: PauliSum, config: ConvergenceConf
         if runtime > config.t_cpu_s:
             report.status = STATUS_BUDGET
             break
-    return _finish(report, len(circuit.gates))
+    return _finish(report)
 
 
 def classify(report: ConvergenceReport) -> Classification:

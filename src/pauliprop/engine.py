@@ -3,9 +3,11 @@
 Each Pauli rotation partitions the current rows by commutation with the gate
 generator.  Commuting rows pass through; anti-commuting rows rotate in the
 (P, iσP) plane, merging with the partner row when it already exists and
-branching a new row otherwise.  Angles are reduced to [-pi/4, pi/4] by
-extracting exact Clifford quarter turns (pure row relabelings, no growth).
-After every gate the coefficient threshold is applied once.
+branching a new row otherwise.  The angle's exact quarter turns are folded
+into that one rotation's cos and sin, so every coefficient gets a single
+update.  The coefficient threshold is applied to the observable once on
+entry and then once per gate; a gate that at most flips signs (no
+anti-commuting row, or a multiple of pi) skips it.
 
 Rows are kept in canonical packed order throughout, which makes every run
 bit-identical.  Each gate is composed from vectorized numpy pieces over the
@@ -38,6 +40,8 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
+# exact (cos, sin) of q quarter turns
+_QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
 DEFAULT_ROW_CAP = 2**31
 
@@ -158,7 +162,7 @@ class TraceLog:
 
 
 # ---------------------------------------------------------------------------
-# generator preparation and angle reduction
+# generator preparation
 # ---------------------------------------------------------------------------
 
 
@@ -185,13 +189,6 @@ def _prepare_generator(sigma: PauliString, n: int):
     return words, canon, orientation, bool(words.any())
 
 
-def _reduce_angle(theta: float) -> tuple[int, float]:
-    """theta = q*(pi/2) + residual with residual in [-pi/4, pi/4]; q mod 4."""
-    q = round(theta / _HALF_PI)
-    residual = theta - q * _HALF_PI
-    return q % 4, residual
-
-
 # ---------------------------------------------------------------------------
 # gate path on canonically sorted arrays
 # ---------------------------------------------------------------------------
@@ -213,105 +210,93 @@ def _merge_arrays(bits, coeffs, new_bits, new_coeffs, pos):
     return out_bits, out_coeffs
 
 
+def _threshold(bits, coeffs, delta):
+    """Keep rows with |c| >= delta (nonzero rows at delta = 0); also the drop count."""
+    keep = np.abs(coeffs) >= delta if delta > 0 else coeffs != 0.0
+    dropped = int(len(coeffs) - np.count_nonzero(keep))
+    if dropped:
+        bits = np.ascontiguousarray(bits[keep])
+        coeffs = coeffs[keep]
+    return bits, coeffs, dropped
+
+
 def _scan(bits, words):
-    """Anti-commutation mask, anti row slots, and their partner slots.
+    """Anti-commuting row slots and their partner slots.
 
     A partner slot is -1 when the row bits ^ words is absent; the partner
     search is skipped (pos is None) when no row anti-commutes.
     """
-    anti = kernels.anti_mask(bits, words)
-    anti_idx = np.flatnonzero(anti)
+    anti_idx = np.flatnonzero(kernels.anti_mask(bits, words))
     pos = kernels.find_rows(bits, bits[anti_idx] ^ words) if len(anti_idx) else None
-    return anti, anti_idx, pos
+    return anti_idx, pos
 
 
-def _gate(bits, coeffs, words, sigma_alpha, q, cos_r, sin_r, delta, row_cap):
-    """One gate on canonically sorted arrays.
+def _gate(bits, coeffs, prep, theta, delta, row_cap):
+    """One gate on canonically sorted arrays whose rows all pass the threshold.
 
-    Returns (bits, coeffs, anti_count, eta_count, truncated, cap_exceeded).
-    """
-    anti, anti_idx, pos = _scan(bits, words)
-    n_anti = len(anti_idx)
-    if n_anti == 0:
-        return bits, coeffs, 0, 0, 0, False
-    eta_count = int(np.count_nonzero(pos >= 0))
-
-    if q:
-        signs = kernels.branch_signs(bits[anti_idx], words, sigma_alpha)
-        if np.any(signs == 0):
-            raise InvariantViolation("non-Hermitian branch phase; state is corrupt")
-        if q == 2:
-            coeffs[anti_idx] = -coeffs[anti_idx]
-        else:
-            mult = signs.astype(np.float64) if q == 1 else -signs.astype(np.float64)
-            coeffs[anti_idx] = coeffs[anti_idx] * mult
-            relabeled = bits[anti_idx] ^ words
-            comm_idx = np.flatnonzero(~anti)
-            order = kernels.sort_order(relabeled)
-            relabeled = np.ascontiguousarray(relabeled[order])
-            anti_coeffs = coeffs[anti_idx][order]
-            comm_bits = np.ascontiguousarray(bits[comm_idx])
-            comm_coeffs = coeffs[comm_idx]
-            ins = kernels.lower_bound(comm_bits, relabeled)
-            bits, coeffs = _merge_arrays(comm_bits, comm_coeffs, relabeled, anti_coeffs, ins)
-            if sin_r != 0.0:
-                # rows moved: rescan the anti set and partners
-                _, anti_idx, pos = _scan(bits, words)
-
-    truncated = 0
-    if sin_r != 0.0:
-        signs = kernels.branch_signs(bits[anti_idx], words, sigma_alpha)
-        if np.any(signs == 0):
-            raise InvariantViolation("non-Hermitian branch phase; state is corrupt")
-        paired = pos >= 0
-
-        unpaired_rows = anti_idx[~paired]
-        if len(coeffs) + len(unpaired_rows) > row_cap:
-            return bits, coeffs, n_anti, eta_count, 0, True
-
-        new_bits = bits[unpaired_rows] ^ words
-        new_coeffs = coeffs[unpaired_rows] * (sin_r * signs[~paired].astype(np.float64))
-
-        paired_rows = anti_idx[paired]
-        partner_slots = pos[paired]
-        # partner of an anti row carries the opposite branch sign
-        paired_signs = signs[paired].astype(np.float64)
-        paired_new = coeffs[paired_rows] * cos_r + coeffs[partner_slots] * (sin_r * -paired_signs)
-
-        coeffs[unpaired_rows] *= cos_r
-        coeffs[paired_rows] = paired_new
-
-        if len(unpaired_rows):
-            order = kernels.sort_order(new_bits)
-            new_bits = np.ascontiguousarray(new_bits[order])
-            new_coeffs = new_coeffs[order]
-            ins = kernels.lower_bound(bits, new_bits)
-            bits, coeffs = _merge_arrays(bits, coeffs, new_bits, new_coeffs, ins)
-
-        keep = np.abs(coeffs) >= delta if delta > 0 else coeffs != 0.0
-        truncated = int(len(coeffs) - np.count_nonzero(keep))
-        if truncated:
-            bits = np.ascontiguousarray(bits[keep])
-            coeffs = coeffs[keep]
-    return bits, coeffs, n_anti, eta_count, truncated, False
-
-
-def _run_gate(bits, coeffs, prep, theta, delta, row_cap):
-    """Reduce the angle and apply one gate.
-
-    Returns (bits, coeffs, phi, eta, truncated, cap_exceeded).
+    Returns (bits, coeffs, phi, eta, truncated, cap_exceeded); on a cap the
+    arrays are returned untouched.
     """
     words, canon, orientation, has_support = prep
     n_rows = len(coeffs)
     if n_rows == 0 or not has_support:
         return bits, coeffs, 0.0, 0.0, 0, False
-    q, residual = _reduce_angle(orientation * theta)
-    cos_r = math.cos(residual)
-    sin_r = math.sin(residual) if residual != 0.0 else 0.0
-    bits, coeffs, n_anti, eta_count, truncated, capped = _gate(
-        bits, coeffs, words, canon, q, cos_r, sin_r, delta, row_cap
+    anti_idx, pos = _scan(bits, words)
+    n_anti = len(anti_idx)
+    if n_anti == 0:
+        return bits, coeffs, 0.0, 0.0, 0, False
+    paired = pos >= 0
+    n_paired = int(np.count_nonzero(paired))
+    phi, eta = n_anti / n_rows, n_paired / n_rows
+
+    # theta = q*(pi/2) + residual with |residual| <= pi/4, applied as one
+    # rotation: the quarter-turn factors are 0 or +-1, so composing is exact
+    angle = orientation * theta
+    q = round(angle / _HALF_PI)
+    residual = angle - q * _HALF_PI
+    cq, sq = _QUARTER_TURNS[q % 4]
+    cos_r, sin_r = math.cos(residual), math.sin(residual)
+    cos_t = cq * cos_r - sq * sin_r
+    sin_t = sq * cos_r + cq * sin_r
+    if sin_t == 0.0:  # a multiple of pi: identity or a sign flip
+        if cos_t < 0.0:
+            coeffs[anti_idx] *= cos_t
+        return bits, coeffs, phi, eta, 0, False
+
+    n_unpaired = n_anti - n_paired
+    # an exact odd quarter turn moves each unpaired row onto its branch
+    vacated = n_unpaired if cos_t == 0.0 else 0
+    if n_rows + n_unpaired - vacated > row_cap:
+        return bits, coeffs, phi, eta, 0, True
+    signs = kernels.branch_signs(bits[anti_idx], words, canon)
+    if np.any(signs == 0):
+        raise InvariantViolation("non-Hermitian branch phase; state is corrupt")
+    signs = signs.astype(np.float64)
+
+    # the branched rows: thresholded, then sorted for the merge
+    unpaired_rows = anti_idx[~paired]
+    new_bits, new_coeffs, new_dropped = _threshold(
+        bits[unpaired_rows] ^ words, coeffs[unpaired_rows] * (sin_t * signs[~paired]), delta
     )
-    return bits, coeffs, n_anti / n_rows, eta_count / n_rows, truncated, capped
+    if len(new_coeffs):
+        order = kernels.sort_order(new_bits)
+        new_bits = np.ascontiguousarray(new_bits[order])
+        new_coeffs = new_coeffs[order]
+
+    if n_paired:
+        paired_rows = anti_idx[paired]
+        # partner of an anti row carries the opposite branch sign
+        coeffs[paired_rows] = (
+            coeffs[paired_rows] * cos_t + coeffs[pos[paired]] * (sin_t * -signs[paired])
+        )
+    coeffs[unpaired_rows] *= cos_t
+    # both blocks are thresholded before the merge, so the merged copy never
+    # holds a row that is about to be dropped
+    bits, coeffs, dropped = _threshold(bits, coeffs, delta)
+    if len(new_coeffs):
+        ins = kernels.lower_bound(bits, new_bits)
+        bits, coeffs = _merge_arrays(bits, coeffs, new_bits, new_coeffs, ins)
+    return bits, coeffs, phi, eta, dropped + new_dropped - vacated, False
 
 
 def apply_rotation(
@@ -380,9 +365,9 @@ def evolve(
 
     trace = TraceLog(n=n, delta=delta, initial_norm=observable.raw_norm())
     # the gate writes coefficients in place and never bits, so only the
-    # coefficients are copied, here and for snapshots
-    bits = observable.bits
-    coeffs = observable.coeffs.copy()
+    # coefficients are copied, here and for snapshots; the threshold runs
+    # once on entry so every row reaching a gate already passes it
+    bits, coeffs, _ = _threshold(observable.bits, observable.coeffs.copy(), delta)
 
     gates = trace.gates
     peak = -1
@@ -399,7 +384,7 @@ def evolve(
             )
         gate_start = time.perf_counter_ns()
         n_before = len(coeffs)
-        bits, coeffs, phi, eta, truncated, capped = _run_gate(
+        bits, coeffs, phi, eta, truncated, capped = _gate(
             bits, coeffs, preps[k - 1], theta, delta, cap
         )
         if capped:

@@ -246,15 +246,16 @@ def predict_nmax(series: ProbeSeries, targets) -> ResourcePrediction:
     )
 
 
-def predict_runtime(series: ProbeSeries, targets, tail_points: int = 4) -> ResourcePrediction:
-    """Fit log runtime vs log(1/delta) on the last tail_points probes only.
+def predict_runtime(runs, targets, tail_points: int = 4) -> ResourcePrediction:
+    """Fit log runtime vs log(1/delta) on the last tail_points runs only.
 
-    The tail restriction guards against the documented transition in the
-    runtime exponent; a non-positive slope flags the series pre-asymptotic
-    instead of erroring.
+    ``runs`` are completed runs in order of decreasing delta, anything with
+    ``.delta`` and ``.runtime_s``.  The tail restriction guards against the
+    documented transition in the runtime exponent; a non-positive slope
+    flags the series pre-asymptotic instead of erroring.
     """
     targets = [float(t) for t in targets]
-    probes = series.probes[-tail_points:] if tail_points else series.probes
+    probes = runs[-tail_points:] if tail_points else runs
     if len(probes) < 2:
         raise EstimationImpossible("need at least 2 probes in the fitted tail")
     x = np.log(1.0 / np.array([p.delta for p in probes]))
@@ -272,7 +273,7 @@ def predict_runtime(series: ProbeSeries, targets, tail_points: int = 4) -> Resou
 def predict_resources(series: ProbeSeries, targets, tail_points: int = 4) -> ResourcePrediction:
     """Combined N_max and runtime prediction (one report object)."""
     n_pred = predict_nmax(series, targets)
-    t_pred = predict_runtime(series, targets, tail_points=tail_points)
+    t_pred = predict_runtime(series.probes, targets, tail_points=tail_points)
     return ResourcePrediction(
         targets=n_pred.targets,
         n_max=n_pred.n_max,

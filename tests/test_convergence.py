@@ -171,5 +171,5 @@ class TestReportPayload:
         report.status = STATUS_CONVERGED
         from pauliprop.convergence import _finish
 
-        _finish(report, circuit_gates=10)
+        _finish(report)
         assert report.local_minimum_risk

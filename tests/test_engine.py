@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dense_heisenberg,
@@ -141,21 +144,49 @@ class TestApplyRotation:
         for label, c in want.items():
             assert abs(got[label] - c) < 1e-12
 
-    def test_boundary_value_survives(self):
-        # truncation keeps |c| >= delta: the commuting row X1 passes the gate unchanged
+    def test_boundary_value_survives_at_gate(self):
+        # the branch of Z0 about X0 carries exactly +-sin(0.3): kept at that
+        # delta, dropped and counted one ulp above it
+        s = PauliSum.from_terms(1, [("Z0", 1.0)])
+        delta = math.sin(0.3)
+        for d, kept in ((delta, True), (np.nextafter(delta, 1.0), False)):
+            out, stats = apply_rotation(s, PauliString.from_label("X0", 1), 0.3, d)
+            assert (PauliString.from_label("Y0", 1) in out) == kept
+            assert stats.truncated == (0 if kept else 1)
+
+    def test_boundary_value_survives_at_entry(self):
+        # the observable is thresholded once before gate 1; the commuting row
+        # X1 then passes the gate unchanged
         delta = 3.5e-4
         for c, kept in ((delta, True), (np.nextafter(delta, 0.0), False)):
             s = PauliSum.from_terms(2, [("Z0", 1.0), ("X1", c)])
             out, stats = apply_rotation(s, PauliString.from_label("X0", 2), 0.3, delta)
             assert (PauliString.from_label("X1", 2) in out) == kept
-            assert stats.truncated == (0 if kept else 1)
+            assert stats.n_before == (2 if kept else 1)
+            assert stats.truncated == 0
 
-    def test_row_cap_raises_with_partial_state(self):
+    @pytest.mark.parametrize("gate", ["Z0", "X0"], ids=["idle", "quarter"])
+    def test_sub_delta_observable_keeps_trivial_bound(self, gate):
+        # 56 rows of 0.01 have norm 0.075, so the bound at delta = 0.05 is 2.24;
+        # Z0 commutes with every row, X0 anti-commutes with 21 of them
+        labels = ["*".join(f"Z{q}" for q in qs) for qs in itertools.combinations(range(8), 3)]
+        s = PauliSum.from_terms(8, [(label, 0.01) for label in labels])
+        assert len(s) == 56
+        out, stats = apply_rotation(s, PauliString.from_label(gate, 8), -math.pi / 2, 0.05)
+        assert len(out) == 0
+        assert stats.n_before == 0 and stats.n_after == 0
+
+    @pytest.mark.parametrize(
+        "theta", [0.3, math.pi / 2 + 0.3, math.pi + 0.3], ids=["residual", "quarter", "half"]
+    )
+    def test_row_cap_raises_with_partial_state(self, theta):
+        # the partial state is the state before the gate that hit the cap
         s = PauliSum.from_terms(3, [("Z0", 1.0), ("Z1", 0.5)])
         with pytest.raises(RowCapExceeded) as err:
-            apply_rotation(s, PauliString.from_label("X0*X1", 3), 0.3, 0.05, row_cap=2)
-        assert err.value.partial is not None
+            apply_rotation(s, PauliString.from_label("X0*X1", 3), theta, 0.05, row_cap=2)
+        assert err.value.trace.gates == []
         assert err.value.partial.labels() == s.labels()
+        assert err.value.partial.coeffs.tolist() == s.coeffs.tolist()
 
     def test_non_hermitian_generator_rejected(self):
         plain = PauliString.from_label("X")
@@ -299,6 +330,74 @@ class TestEvolve:
         assert set(trace.snapshots) == {per_step, 2 * per_step, 3 * per_step}
         k_peak, snap = trace.peak_snapshot
         assert len(snap) == trace.n_max
+
+
+def _golden_circuit():
+    """6 qubits, 4 steps; angles in all four quarter classes, exact +-pi/2 and pi included."""
+    kicks = (0.3, math.pi / 2 + 0.2, math.pi - 0.25, -math.pi / 2 - 0.35,
+             math.pi / 2, -math.pi / 2, math.pi, -0.6)
+    gates = []
+    for step in range(4):
+        for q in range(5):
+            gates.append((f"Z{q}*Z{q + 1}", 0.7 + step if (q + step) % 3 == 0 else -math.pi / 2))
+        for q in range(6):
+            gates.append((f"X{q}", kicks[(q + step) % len(kicks)]))
+        gates.append(("Y0*X3*Z5", 2.2 + step))
+    return _circuit(6, gates)
+
+
+GOLDEN_SUMMARY = (435, 48, "0.09492838905354659")
+GOLDEN_STATE_SHA256 = "8c9e1de96a63e48837bbddab61c3b496e1e9c5373f3922e9e913e42d1009bc82"
+GOLDEN_TRACE_SHA256 = "5da75820d9dc38a252cac9389352200b5517223cfdd05c0473f13bd025bc7bb9"
+
+
+# (label, q, residual): the angle q*pi/2 + residual, an exact multiple of pi/2 when residual is 0
+_residuals = st.one_of(st.just(0.0), st.floats(-math.pi / 4, math.pi / 4))
+
+
+@st.composite
+def _rotation_problems(draw):
+    n = draw(st.integers(1, 5))
+    label = st.text("IXYZ", min_size=n, max_size=n)
+    gates = draw(st.lists(st.tuples(label, st.integers(-4, 4), _residuals), min_size=1, max_size=12))
+    terms = draw(st.dictionaries(label, st.floats(0.05, 1.0) | st.floats(-1.0, -0.05),
+                                 min_size=1, max_size=6))
+    return n, gates, sorted(terms.items())
+
+
+class TestSingleRotationPath:
+    def test_golden_bits(self):
+        # recorded from the engine that applied quarter turns as row
+        # relabellings; folding them into one rotation must change no
+        # coefficient bit, row or trace value
+        obs = PauliSum.from_terms(6, [("Z2", 1.0), ("X0*Z1", 0.5), ("Y4", -0.25)])
+        final, trace = evolve(_golden_circuit(), obs, 2.0**-8)
+        state = hashlib.sha256(
+            final.bits.astype("<u8").tobytes() + final.coeffs.astype("<f8").tobytes()
+        ).hexdigest()
+        rows = [(g.k, g.phi, g.eta, g.n_before, g.n_after, g.truncated, g.norm_after)
+                for g in trace.gates]
+        assert (trace.n_max, trace.k_star, repr(expectation(final))) == GOLDEN_SUMMARY
+        assert state == GOLDEN_STATE_SHA256
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == GOLDEN_TRACE_SHA256
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rotation_problems())
+    def test_matches_dense_oracle_at_delta_zero(self, problem):
+        n, gates, terms = problem
+        angles = [(label, q * (math.pi / 2) + r) for label, q, r in gates]
+        final, _ = evolve(_circuit(n, angles), PauliSum.from_terms(n, terms), 0.0)
+        assert np.allclose(sum_as_dense(final), dense_heisenberg(angles, terms, n), atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rotation_problems())
+    def test_quarter_turns_truncate_nothing(self, problem):
+        n, gates, terms = problem
+        angles = [(label, q * (math.pi / 2) + r) for label, q, r in gates]
+        _, trace = evolve(_circuit(n, angles), PauliSum.from_terms(n, terms), 0.07)
+        for (_label, _q, r), g in zip(gates, trace.gates):
+            if r == 0.0:
+                assert g.truncated == 0 and g.n_after == g.n_before
 
 
 class TestTraceLog:

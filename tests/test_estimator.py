@@ -93,7 +93,7 @@ class TestPredictRuntime:
         deltas = [0.02, 0.01, 0.005, 0.0025]
         times = [3.0 * d**-a for d in deltas]
         series = _series(deltas, [10] * 4, runtimes=times)
-        pred = predict_runtime(series, [0.000625])
+        pred = predict_runtime(series.probes, [0.000625])
         want = 3.0 * 0.000625**-a
         assert abs(pred.runtime_s[0] - want) / want < 1e-9
         assert abs(pred.runtime_fit.slope - a) < 1e-9
@@ -109,19 +109,19 @@ class TestPredictRuntime:
                 scale = (1.0 * deltas[3] ** -0.5) / (deltas[3] ** -2.0)
                 times.append(scale * d**-2.0)
         series = _series(deltas, [10] * 8, runtimes=times)
-        pred = predict_runtime(series, [1e-4], tail_points=4)
+        pred = predict_runtime(series.probes, [1e-4], tail_points=4)
         assert abs(pred.runtime_fit.slope / math.log(2) * math.log(2) - 2.0) < 0.05 * 2.0
 
     def test_pre_asymptotic_flagged_not_error(self):
         deltas = [0.02, 0.01, 0.005]
         series = _series(deltas, [10] * 3, runtimes=[1.0, 0.9, 0.8])
-        pred = predict_runtime(series, [1e-4])
+        pred = predict_runtime(series.probes, [1e-4])
         assert any("pre-asymptotic" in n for n in pred.notes)
 
     def test_needs_two_tail_points(self):
         series = _series([0.01, 0.005], [5, 9])
         with pytest.raises(EstimationImpossible):
-            predict_runtime(series, [1e-4], tail_points=1)
+            predict_runtime(series.probes, [1e-4], tail_points=1)
 
 
 class TestGapFormula:
