@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from .engine import TraceLog, _prepare_generator, _scan
 from .estimator import _ols
 from .pauli import PauliString
-from .sums import PauliSum
+from .sums import PauliSum, pairwise_dot
 
 __all__ = [
     "PowerLawModel",
@@ -77,6 +77,10 @@ class PowerLawModel:
 
     def density(self, t):
         """rho(t); accepts scalars or arrays."""
+        if isinstance(t, (float, int, np.floating, np.integer)):
+            # quadrature calls this once per point; skip the array round trip
+            a = abs(float(t))
+            return float(self.A / a ** (self.m + 1)) if a >= self.delta else 0.0
         t = np.asarray(t, dtype=float)
         out = np.where(np.abs(t) >= self.delta, self.A / np.maximum(np.abs(t), self.delta) ** (self.m + 1), 0.0)
         return out if out.ndim else float(out)
@@ -466,10 +470,10 @@ def merge_pair_correlation(s: PauliSum, sigma: PauliString) -> float:
     b = np.abs(s.coeffs[pos[first]])
     va = a - a.mean()
     vb = b - b.mean()
-    denom = math.sqrt(float(np.dot(va, va)) * float(np.dot(vb, vb)))
+    denom = math.sqrt(pairwise_dot(va, va) * pairwise_dot(vb, vb))
     if denom == 0.0:
         return float("nan")
-    return float(np.dot(va, vb)) / denom
+    return pairwise_dot(va, vb) / denom
 
 
 # ---------------------------------------------------------------------------

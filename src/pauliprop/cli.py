@@ -22,11 +22,13 @@ import datetime
 import json
 import math
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .analysis import (
@@ -79,8 +81,22 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _environment() -> dict:
+    """What a slow or failed run needs explained: versions, BLAS, threads, host load."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {key: os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+        "loadavg": list(os.getloadavg()),
+    }
+
+
 class _Manifest:
-    """Run provenance: resolved config, artifacts, wall time, versions."""
+    """Run provenance: resolved config, artifacts, wall time, versions, environment."""
 
     def __init__(self, command: str, args: argparse.Namespace):
         self.payload = {
@@ -88,6 +104,7 @@ class _Manifest:
             "argv": sys.argv[1:],
             "config": {k: v for k, v in vars(args).items() if k != "func"},
             "engine_version": __version__,
+            "environment": _environment(),
             "started_at_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "artifacts": [],
             "timings": {},

@@ -9,6 +9,15 @@ update.  The coefficient threshold is applied to the observable once on
 entry and then once per gate; a gate that at most flips signs (no
 anti-commuting row, or a multiple of pi) skips it.
 
+Idle gates are skipped without touching a row.  :func:`evolve` keeps a
+light cone: the OR of every row's words with the z and x halves swapped.
+A row can anti-commute with a generator only if it shares a bit with the
+generator's swapped form, so a generator that misses the cone has no
+anti-commuting row, and its gate is recorded with phi = eta = 0 and the
+previous norm.  A gate adds only rows P ^ sigma, so after each active gate
+the cone takes in the swapped generator; truncation can leave the cone
+larger than the state, never smaller.
+
 Rows are kept in canonical packed order throughout, which makes every run
 bit-identical.  Each gate is composed from vectorized numpy pieces over the
 bit kernels in :mod:`pauliprop.kernels`; all float updates are elementwise.
@@ -20,13 +29,14 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .circuits import Circuit
 from .pauli import InvariantViolation, PauliError, PauliString
-from .sums import PauliSum
+from .sums import PauliSum, pairwise_dot
 
 __all__ = [
     "GateStats",
@@ -166,8 +176,26 @@ class TraceLog:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_generator(sigma: PauliString, n: int):
-    """Packed words, canonical alpha, orientation, and support flag.
+class _Generator(NamedTuple):
+    """A gate generator prepared once per unique PauliString."""
+
+    words: np.ndarray
+    canon: int
+    orientation: float
+    mask: int  # the words as one int, for the light-cone test
+    cross_mask: int  # the words with z and x halves swapped, as one int
+
+
+def _as_int(words: np.ndarray) -> int:
+    return int.from_bytes(np.ascontiguousarray(words, dtype="<u8").tobytes(), "little")
+
+
+def _swap_halves(words: np.ndarray) -> np.ndarray:
+    return np.roll(words, len(words) // 2)
+
+
+def _prepare_generator(sigma: PauliString, n: int) -> _Generator:
+    """Packed words, canonical alpha, orientation, and light-cone masks.
 
     A generator whose alpha differs from canonical by 2 represents the
     negated plain string; rotating about -sigma by theta equals rotating
@@ -186,7 +214,7 @@ def _prepare_generator(sigma: PauliString, n: int):
         raise PauliError(
             f"generator {sigma!r} is not Hermitian (phase offset {diff}); cannot rotate about it"
         )
-    return words, canon, orientation, bool(words.any())
+    return _Generator(words, canon, orientation, _as_int(words), _as_int(_swap_halves(words)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +265,8 @@ def _gate(bits, coeffs, prep, theta, delta, row_cap):
     Returns (bits, coeffs, phi, eta, truncated, cap_exceeded); on a cap the
     arrays are returned untouched.
     """
-    words, canon, orientation, has_support = prep
+    words, canon, orientation = prep.words, prep.canon, prep.orientation
     n_rows = len(coeffs)
-    if n_rows == 0 or not has_support:
-        return bits, coeffs, 0.0, 0.0, 0, False
     anti_idx, pos = _scan(bits, words)
     n_anti = len(anti_idx)
     if n_anti == 0:
@@ -354,7 +380,7 @@ def evolve(
     instrumented = bool(snap_at) or track_peak_snapshot
 
     # one prep per unique generator, resolved to a flat per-gate list
-    prep_cache: dict[int, tuple] = {}
+    prep_cache: dict[int, _Generator] = {}
     preps = []
     for sigma, _theta in circuit.gates:
         prep = prep_cache.get(id(sigma))
@@ -368,6 +394,8 @@ def evolve(
     # coefficients are copied, here and for snapshots; the threshold runs
     # once on entry so every row reaching a gate already passes it
     bits, coeffs, _ = _threshold(observable.bits, observable.coeffs.copy(), delta)
+    norm = math.sqrt(pairwise_dot(coeffs, coeffs))
+    cone = _as_int(_swap_halves(np.bitwise_or.reduce(bits, axis=0)))
 
     gates = trace.gates
     peak = -1
@@ -384,21 +412,25 @@ def evolve(
             )
         gate_start = time.perf_counter_ns()
         n_before = len(coeffs)
-        bits, coeffs, phi, eta, truncated, capped = _gate(
-            bits, coeffs, preps[k - 1], theta, delta, cap
-        )
-        if capped:
-            trace.aborted = "row_cap"
-            raise RowCapExceeded(
-                f"row cap {cap} exceeded at gate {k}/{len(circuit.gates)}",
-                trace=trace,
-                partial=PauliSum(n, bits, coeffs),
-            )
-        norm_after = math.sqrt(float(np.dot(coeffs, coeffs)))
+        prep = preps[k - 1]
+        if cone & prep.mask:
+            bits, coeffs, phi, eta, truncated, capped = _gate(bits, coeffs, prep, theta, delta, cap)
+            if capped:
+                trace.aborted = "row_cap"
+                raise RowCapExceeded(
+                    f"row cap {cap} exceeded at gate {k}/{len(circuit.gates)}",
+                    trace=trace,
+                    partial=PauliSum(n, bits, coeffs),
+                )
+            if phi > 0.0:  # with phi = 0 no coefficient changed
+                cone |= prep.cross_mask
+                norm = math.sqrt(pairwise_dot(coeffs, coeffs))
+        else:  # outside the light cone: no row anti-commutes
+            phi, eta, truncated = 0.0, 0.0, 0
         gates.append(
             GateStats(
                 k=k, theta=theta, phi=phi, eta=eta, n_before=n_before, n_after=len(coeffs),
-                truncated=truncated, norm_after=norm_after,
+                truncated=truncated, norm_after=norm,
                 elapsed_ns=time.perf_counter_ns() - gate_start,
             )
         )

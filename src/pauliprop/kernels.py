@@ -39,11 +39,21 @@ def sort_order(bits: np.ndarray) -> np.ndarray:
 
 
 def anti_mask(bits, sigma):
-    """Rows that anti-commute with the generator sigma (symplectic parity)."""
+    """Rows that anti-commute with the generator sigma (symplectic parity).
+
+    Only the columns where the swapped generator is nonzero are read: the
+    parity of the XOR of ``bits[:, j] & cross[j]`` over those columns is
+    the parity of the summed popcounts.
+    """
     w = bits.shape[1] // 2
     cross = np.concatenate([sigma[w:], sigma[:w]])
-    counts = np.bitwise_count(bits & cross).sum(axis=1, dtype=np.int64)
-    return (counts & 1).astype(bool)
+    cols = np.flatnonzero(cross)
+    if len(cols) == 0:
+        return np.zeros(bits.shape[0], bool)
+    acc = bits[:, cols[0]] & cross[cols[0]]
+    for j in cols[1:]:
+        acc ^= bits[:, j] & cross[j]
+    return (np.bitwise_count(acc) & 1).astype(bool)
 
 
 def branch_signs(bits, sigma, sigma_alpha):

@@ -19,7 +19,16 @@ import numpy as np
 from . import kernels
 from .pauli import PauliError, PauliString, canonical_real_coefficient, words_per_half
 
-__all__ = ["PauliSum"]
+__all__ = ["PauliSum", "pairwise_dot"]
+
+
+def pairwise_dot(a, b) -> float:
+    """sum(a * b) by numpy's own pairwise reduction.
+
+    Unlike a BLAS dot, it runs on one thread and fixes its summation order,
+    so the result is the same on every CPU and BLAS build.
+    """
+    return float(np.add.reduce(a * b))
 
 
 class PauliSum:
@@ -102,7 +111,7 @@ class PauliSum:
 
     def raw_norm(self) -> float:
         """Euclidean norm of the coefficient vector, (sum c^2)^(1/2)."""
-        return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
+        return float(np.sqrt(pairwise_dot(self.coeffs, self.coeffs)))
 
     def coefficient_of(self, p: PauliString) -> float:
         slot = self._find(p)

@@ -1,9 +1,17 @@
+import csv
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import pauliprop
 from pauliprop.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -179,6 +187,50 @@ class TestRun:
         listed = {str(p) for p in manifest["artifacts"]}
         actual = {str(p) for p in out_dir.iterdir()}
         assert actual == listed
+
+    def test_manifest_environment(self, small_circuit, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out_dir = tmp_path / "env"
+        main([
+            "run", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--delta", "1e-3", "--out-dir", str(out_dir),
+        ])
+        env = json.loads((out_dir / "manifest.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["blas"]["name"] and env["blas"]["version"]
+        assert env["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+        assert env["cpu_count"] == os.cpu_count()
+        assert len(env["loadavg"]) == 3 and all(v >= 0.0 for v in env["loadavg"])
+        # the deterministic data files stay free of host details
+        assert "environment" not in json.loads((out_dir / "summary.json").read_text())
+
+    def test_trace_identical_across_blas_kernels(self, tmp_path):
+        # the 74-row peak is enough for two OpenBLAS dot kernels to round
+        # the norm differently; every column but elapsed_ns must not care
+        circuit = tmp_path / "hh.json"
+        assert main([
+            "gen-circuit", "kicked-ising", "--topology", "ibm_heavy_hex_127", "--T", "6",
+            "--theta-x", "0.3", "--out", str(circuit),
+        ]) == EXIT_OK
+        src = str(Path(pauliprop.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        tables = []
+        for coretype, threads in (("Haswell", "2"), ("Sandybridge", "1")):
+            out_dir = tmp_path / coretype
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=coretype,
+                       OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([
+                sys.executable, "-m", "pauliprop.cli", "run", "--circuit", str(circuit),
+                "--observable", "Z62", "--delta", "0.003", "--out-dir", str(out_dir),
+            ], env=env, check=True, capture_output=True)
+            with open(out_dir / "trace.csv", newline="") as fh:
+                tables.append([{k: v for k, v in row.items() if k != "elapsed_ns"}
+                               for row in csv.DictReader(fh)])
+        assert len(tables[0]) == 6 * 271
+        assert tables[0] == tables[1]
 
 
 class TestConverge:

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from pauliprop import (
     expectation,
     kicked_ising,
 )
+from pauliprop import engine, kernels
 from pauliprop.engine import GateStats
+from pauliprop.sums import pairwise_dot
 
 
 def _circuit(n, label_theta_pairs):
@@ -348,7 +352,7 @@ def _golden_circuit():
 
 GOLDEN_SUMMARY = (435, 48, "0.09492838905354659")
 GOLDEN_STATE_SHA256 = "8c9e1de96a63e48837bbddab61c3b496e1e9c5373f3922e9e913e42d1009bc82"
-GOLDEN_TRACE_SHA256 = "5da75820d9dc38a252cac9389352200b5517223cfdd05c0473f13bd025bc7bb9"
+GOLDEN_TRACE_SHA256 = "feeaf9e6eaea764c9cf4e22dd3b79c80afc035acec538620f55186f9cf26da02"
 
 
 # (label, q, residual): the angle q*pi/2 + residual, an exact multiple of pi/2 when residual is 0
@@ -369,7 +373,9 @@ class TestSingleRotationPath:
     def test_golden_bits(self):
         # recorded from the engine that applied quarter turns as row
         # relabellings; folding them into one rotation must change no
-        # coefficient bit, row or trace value
+        # coefficient bit, row or trace value.  The trace digest was
+        # re-recorded once when the norm column moved from a BLAS dot to
+        # numpy's pairwise sum; every other column hashed the same
         obs = PauliSum.from_terms(6, [("Z2", 1.0), ("X0*Z1", 0.5), ("Y4", -0.25)])
         final, trace = evolve(_golden_circuit(), obs, 2.0**-8)
         state = hashlib.sha256(
@@ -398,6 +404,88 @@ class TestSingleRotationPath:
         for (_label, _q, r), g in zip(gates, trace.gates):
             if r == 0.0:
                 assert g.truncated == 0 and g.n_after == g.n_before
+
+
+def _reference_evolve(circuit, observable, delta):
+    """evolve without the light cone: engine._gate on every gate, norm after every gate."""
+    bits, coeffs, _ = engine._threshold(observable.bits, observable.coeffs.copy(), delta)
+    rows = []
+    for k, (sigma, theta) in enumerate(circuit.gates, start=1):
+        n_before = len(coeffs)
+        prep = engine._prepare_generator(sigma, circuit.n)
+        bits, coeffs, phi, eta, truncated, capped = engine._gate(
+            bits, coeffs, prep, theta, delta, engine.DEFAULT_ROW_CAP
+        )
+        assert not capped
+        norm = math.sqrt(pairwise_dot(coeffs, coeffs))
+        rows.append((k, theta, phi, eta, n_before, len(coeffs), truncated, norm))
+    return bits, coeffs, rows
+
+
+def _evolve_recording_scans(circuit, observable, delta):
+    """evolve, plus the 1-based indices of the gates it handed to _gate.
+
+    Every gate of the circuit must carry its own PauliString object, so
+    each gets its own prepared generator.
+    """
+    real_prepare, real_gate = engine._prepare_generator, engine._gate
+    preps, scanned = [], set()
+
+    def prepare(sigma, n):
+        preps.append(real_prepare(sigma, n))
+        return preps[-1]
+
+    def gate(bits, coeffs, prep, *rest):
+        scanned.add(1 + next(i for i, p in enumerate(preps) if p is prep))
+        return real_gate(bits, coeffs, prep, *rest)
+
+    with mock.patch.object(engine, "_prepare_generator", prepare), \
+            mock.patch.object(engine, "_gate", gate):
+        final, trace = evolve(circuit, observable, delta)
+    assert len(preps) == len(circuit.gates)
+    return final, trace, scanned
+
+
+@st.composite
+def _cone_problems(draw):
+    """Up to 6 qubits; identity-heavy labels so that many gates miss the cone."""
+    n = draw(st.integers(1, 6))
+    label = st.text(st.sampled_from("IIIXYZ"), min_size=n, max_size=n)
+    gates = draw(st.lists(st.tuples(label, st.integers(-4, 4), _residuals), max_size=16))
+    terms = draw(st.dictionaries(label, st.floats(0.05, 1.0) | st.floats(-1.0, -0.05),
+                                 min_size=1, max_size=6))
+    delta = draw(st.sampled_from([0.0, 0.05]))
+    return n, gates, sorted(terms.items()), delta
+
+
+class TestLightCone:
+    @settings(max_examples=150, deadline=None)
+    @given(_cone_problems())
+    def test_matches_gate_on_every_gate(self, problem):
+        n, gates, terms, delta = problem
+        circuit = _circuit(n, [(label, q * (math.pi / 2) + r) for label, q, r in gates])
+        observable = PauliSum.from_terms(n, terms)
+        ref_bits, ref_coeffs, ref_rows = _reference_evolve(circuit, observable, delta)
+        final, trace, scanned = _evolve_recording_scans(circuit, observable, delta)
+
+        assert final.bits.tobytes() == ref_bits.tobytes()
+        assert final.coeffs.tobytes() == ref_coeffs.tobytes()
+        fields = [f.name for f in dataclasses.fields(GateStats) if f.name != "elapsed_ns"]
+        rows = [tuple(getattr(g, name) for name in fields) for g in trace.gates]
+        assert repr(rows) == repr(ref_rows)
+        for k, _theta, phi, *_ in ref_rows:
+            if k not in scanned:
+                assert phi == 0.0
+
+    def test_idle_gate_outside_cone_is_not_scanned(self):
+        obs = PauliSum.from_terms(3, [("Z0", 1.0)])
+        circuit = _circuit(3, [("X2", 0.3), ("X0", 0.3), ("X2", 0.3), ("Z1", 0.4)])
+        with mock.patch.object(kernels, "anti_mask", wraps=kernels.anti_mask) as scan:
+            _, trace = evolve(circuit, obs, 0.0)
+        assert scan.call_count == 1
+        assert [g.phi for g in trace.gates] == [0.0, 1.0, 0.0, 0.0]
+        norms = [g.norm_after for g in trace.gates]
+        assert norms == [1.0, norms[1], norms[1], norms[1]]
 
 
 class TestTraceLog:

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pauliprop import kernels
 
@@ -10,19 +12,54 @@ def _random_rows(rng, rows, words_per_half):
     return np.unique(bits, axis=0)
 
 
+def _anti_reference(bits, sigma):
+    """Symplectic parity row by row over every word, in Python ints."""
+    w = len(sigma) // 2
+    expect = []
+    for row in bits:
+        acc = 0
+        for j in range(w):
+            acc += int(row[j] & sigma[w + j]).bit_count()
+            acc += int(row[w + j] & sigma[j]).bit_count()
+        expect.append(bool(acc & 1))
+    return np.array(expect, dtype=bool)
+
+
+_WORD = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def _anti_problems(draw):
+    """Rows and a generator whose nonzero words are all, one or none of them."""
+    w = draw(st.integers(1, 3))
+    width = 2 * w
+    rows = draw(st.lists(st.lists(_WORD, min_size=width, max_size=width), max_size=40))
+    support = draw(st.one_of(
+        st.just(list(range(width))),
+        st.integers(0, width - 1).map(lambda j: [j]),
+        st.just([]),
+        st.sets(st.integers(0, width - 1)).map(sorted),
+    ))
+    sigma = [0] * width
+    for j in support:
+        sigma[j] = draw(st.integers(1, 2**64 - 1))
+    bits = np.array(rows, dtype=np.uint64).reshape(len(rows), width)
+    return bits, np.array(sigma, dtype=np.uint64)
+
+
 class TestAgainstPython:
     def test_anti_mask_reference(self, rng):
         bits = _random_rows(rng, 100, 2)
         sigma = _random_rows(rng, 4, 2)[0]
-        w = 2
-        expect = []
-        for row in bits:
-            acc = 0
-            for j in range(w):
-                acc += int(row[j] & sigma[w + j]).bit_count()
-                acc += int(row[w + j] & sigma[j]).bit_count()
-            expect.append(bool(acc & 1))
-        assert np.array_equal(kernels.anti_mask(bits, sigma), np.array(expect))
+        assert np.array_equal(kernels.anti_mask(bits, sigma), _anti_reference(bits, sigma))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_anti_problems())
+    def test_anti_mask_support_words(self, problem):
+        bits, sigma = problem
+        got = kernels.anti_mask(bits, sigma)
+        assert got.dtype == bool and got.shape == (len(bits),)
+        assert np.array_equal(got, _anti_reference(bits, sigma))
 
     def test_sort_order_matches_tuple_sort(self, rng):
         bits = _random_rows(rng, 200, 2)
