@@ -12,6 +12,7 @@ from .circuits import (
     tfim_trotter_grid,
 )
 from .engine import (
+    Aborted,
     BudgetExceeded,
     GateStats,
     RowCapExceeded,
@@ -57,6 +58,7 @@ __all__ = [
     "PauliError",
     "CircuitError",
     "InvariantViolation",
+    "Aborted",
     "BudgetExceeded",
     "RowCapExceeded",
 ]

@@ -430,9 +430,7 @@ def predict_term_count_step(
     """
     if not (0.0 <= eta <= phi <= 1.0):
         raise ValueError(f"need 0 <= eta <= phi <= 1, got eta={eta}, phi={phi}")
-    th = abs(math.remainder(theta, math.pi))
-    if th > math.pi / 2.0:
-        th = math.pi - th
+    th = abs(math.remainder(theta, math.pi))  # exact, so never above pi/2
     if th == 0.0:
         return float(n_terms)
     m = model.m
@@ -514,8 +512,6 @@ def evolve_density_grid(
 
     for phi, eta, theta in gate_params:
         th = abs(math.remainder(theta, math.pi))
-        if th > math.pi / 2.0:
-            th = math.pi - th
         if th == 0.0 or phi == 0.0:
             continue
         c, s = math.cos(th), math.sin(th)

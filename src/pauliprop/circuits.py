@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from .pauli import PauliString
@@ -169,10 +169,15 @@ class Circuit:
         if payload.get("format") != "pauliprop-circuit/1":
             raise CircuitError(f"unknown circuit format {payload.get('format')!r}")
         n = int(payload["n"])
-        gates = tuple(
-            (PauliString.from_label(label, n), float(theta)) for label, theta in payload["gates"]
-        )
-        return cls(n=n, gates=gates, metadata=payload.get("metadata", {}))
+        # one generator object per distinct label: evolve prepares each object once
+        generators: dict[str, PauliString] = {}
+        gates = []
+        for label, theta in payload["gates"]:
+            g = generators.get(label)
+            if g is None:
+                g = generators[label] = PauliString.from_label(label, n)
+            gates.append((g, float(theta)))
+        return cls(n=n, gates=tuple(gates), metadata=payload.get("metadata", {}))
 
     @classmethod
     def load(cls, path) -> "Circuit":
@@ -259,18 +264,11 @@ def tfim_trotter_grid(
     if steps < 1 or abs(steps_f - steps) > 1e-9 * max(1.0, abs(steps_f)):
         raise CircuitError(f"dt={dt} does not divide t_total={t_total} into whole steps")
     topo = Topology.grid(rows, cols)
-    n = topo.n
-    theta_zz = angle_scale * dt * j_coupling
-    theta_x = angle_scale * dt * h
-    zz_gens = [_zz(n, i, j) for i, j in topo.edges]
-    x_gens = [_x(n, q) for q in range(n)]
-    gates = []
-    for _step in range(steps):
-        for g in zz_gens:
-            gates.append((g, theta_zz))
-        for g in x_gens:
-            gates.append((g, theta_x))
-    metadata = {
+    circuit = kicked_ising(
+        topo, T=steps, theta_zz=angle_scale * dt * j_coupling,
+        theta_x_spec=FixedAngle(angle_scale * dt * h),
+    )
+    return replace(circuit, metadata={
         "family": "tfim_grid",
         "rows": rows,
         "cols": cols,
@@ -281,6 +279,5 @@ def tfim_trotter_grid(
         "angle_scale": angle_scale,
         "steps": steps,
         "edges": len(topo.edges),
-        "gates_per_step": len(topo.edges) + n,
-    }
-    return Circuit(n=n, gates=tuple(gates), metadata=metadata)
+        "gates_per_step": len(topo.edges) + topo.n,
+    })

@@ -10,8 +10,13 @@ Relative output paths resolve under $PAULIPROP_DATA_DIR when it is set.
 name (underscores); explicit flags win over the config file, which wins
 over built-in defaults, and the manifest records the resolved values.
 
-Exit codes: 0 success, 2 usage, 3 resource-cap abort, 4 budget abort,
-5 numerical error.
+Exit codes: 0 success, 2 usage, 3 row-cap abort, 4 budget abort, 5 numerical
+error.  ``run`` exits 3 at ``--max-rows`` and 4 at ``--budget``, after writing
+its trace, summary and snapshots.  ``estimate`` exits 4 when the budget leaves
+fewer than two probes.  ``converge`` exits 4, after writing its artifacts, when
+no step completes; a budget stop after a completed step is the
+``budget_exhausted`` status and exits 0.  A row-cap stop in ``estimate`` or
+``converge`` (the default cap) exits 3 and writes no report.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .circuits import (
     tfim_trotter_grid,
 )
 from .convergence import ConvergenceConfig, classify, run_protocol
-from .engine import BudgetExceeded, RowCapExceeded, TraceLog, evolve, expectation
+from .engine import Aborted, BudgetExceeded, RowCapExceeded, TraceLog, evolve, expectation
 from .estimator import (
     DEFAULT_DELTA_0,
     DEFAULT_RATIO,
@@ -69,6 +74,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_BUDGET = 4
 EXIT_NUMERICAL = 5
+# the exit code of each way a run can stop at a limit
+ABORT_EXIT = {BudgetExceeded: EXIT_BUDGET, RowCapExceeded: EXIT_RESOURCE}
 
 
 class UsageError(ValueError):
@@ -79,6 +86,13 @@ def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _environment() -> dict:
@@ -151,6 +165,13 @@ def _load_observable(spec: str, n: int) -> PauliSum:
     return PauliSum.from_terms(n, [(spec, 1.0)])
 
 
+def _inputs(args, command: str):
+    """Circuit, observable, output directory and manifest of a propagating command."""
+    circuit = Circuit.load(args.circuit)
+    observable = _load_observable(args.observable, circuit.n)
+    return circuit, observable, _out_dir(args), _Manifest(command, args)
+
+
 def _resolve_topology(name_or_path: str):
     if os.path.exists(name_or_path):
         return load_topology(name_or_path)
@@ -214,10 +235,7 @@ def _write_snapshots(trace: TraceLog, out: Path, manifest: _Manifest, delta: flo
 
 
 def cmd_run(args) -> int:
-    circuit = Circuit.load(args.circuit)
-    observable = _load_observable(args.observable, circuit.n)
-    out = _out_dir(args)
-    manifest = _Manifest("run", args)
+    circuit, observable, out, manifest = _inputs(args, "run")
 
     snapshot_gates: tuple[int, ...] = ()
     snapshot_steps = False
@@ -229,7 +247,7 @@ def cmd_run(args) -> int:
         else:
             snapshot_gates = tuple(int(tok) for tok in args.snapshots.split(","))
 
-    partial_code = None
+    aborted = None
     t0 = time.monotonic()
     try:
         final, trace = evolve(
@@ -238,10 +256,8 @@ def cmd_run(args) -> int:
             track_peak_snapshot=track_peak, budget_s=args.budget,
             row_cap=args.max_rows,
         )
-    except BudgetExceeded as exc:
-        trace, final, partial_code = exc.trace, exc.partial, EXIT_BUDGET
-    except RowCapExceeded as exc:
-        trace, final, partial_code = exc.trace, exc.partial, EXIT_RESOURCE
+    except Aborted as exc:
+        aborted, trace, final = exc, exc.trace, exc.partial
     wall = time.monotonic() - t0
 
     value = expectation(final) if final is not None else None
@@ -251,9 +267,9 @@ def cmd_run(args) -> int:
     manifest.timing("evolve_s", wall)
     _write_snapshots(trace, out, manifest, args.delta)
     manifest.write(out)
-    if partial_code is not None:
+    if aborted is not None:
         print(f"aborted ({trace.aborted}) after {len(trace.gates)} gates", file=sys.stderr)
-        return partial_code
+        return ABORT_EXIT[type(aborted)]
     print(f"expectation = {value!r}")
     return EXIT_OK
 
@@ -264,10 +280,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    circuit = Circuit.load(args.circuit)
-    observable = _load_observable(args.observable, circuit.n)
-    out = _out_dir(args)
-    manifest = _Manifest("estimate", args)
+    circuit, observable, out, manifest = _inputs(args, "estimate")
 
     targets = _parse_float_list(args.targets)
     if not targets:
@@ -290,11 +303,10 @@ def cmd_estimate(args) -> int:
         "prediction": prediction.to_json_dict(),
     }
     _write_json(manifest.add(out / "prediction.json"), report)
-    with open(manifest.add(out / "probes.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta", "n_max", "runtime_s"])
-        for p in series.probes:
-            writer.writerow([repr(p.delta), p.n_max, repr(p.runtime_s)])
+    _write_csv(
+        manifest.add(out / "probes.csv"), ["delta", "n_max", "runtime_s"],
+        ([repr(p.delta), p.n_max, repr(p.runtime_s)] for p in series.probes),
+    )
     manifest.write(out)
     for t, nm, rt in zip(targets, prediction.n_max, prediction.runtime_s):
         print(f"delta={t:g}: predicted N_max ~ {nm:.4g}, runtime ~ {rt:.4g}s")
@@ -309,34 +321,24 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    circuit = Circuit.load(args.circuit)
-    observable = _load_observable(args.observable, circuit.n)
-    out = _out_dir(args)
-    manifest = _Manifest("converge", args)
+    circuit, observable, out, manifest = _inputs(args, "converge")
 
     config = ConvergenceConfig(
         delta_0=args.delta0, ratio=args.ratio, eps_tol=args.eps_tol, ell=args.ell,
         t_cpu_s=args.t_cpu, max_steps=args.max_steps,
         cumulative_budget_s=args.cumulative_budget,
     )
-    try:
-        report = run_protocol(circuit, observable, config)
-    except RowCapExceeded as exc:
-        partial = getattr(exc, "report", None)
-        if partial is not None:
-            _write_json(manifest.add(out / "report.json"), partial.to_json_dict(include_timings=False))
-        manifest.write(out)
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-
+    report = run_protocol(circuit, observable, config)
     _write_json(manifest.add(out / "report.json"), report.to_json_dict(include_timings=False))
     _write_json(manifest.add(out / "timing.json"), report.timing_json_dict())
-    with open(manifest.add(out / "convergence.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["log10_inv_delta", "estimate", "runtime_s"])
-        for s in report.steps:
-            writer.writerow([repr(math.log10(1.0 / s.delta)), repr(s.estimate), repr(s.runtime_s)])
+    _write_csv(
+        manifest.add(out / "convergence.csv"), ["log10_inv_delta", "estimate", "runtime_s"],
+        ([repr(math.log10(1.0 / s.delta)), repr(s.estimate), repr(s.runtime_s)]
+         for s in report.steps),
+    )
     manifest.write(out)
+    if not report.steps:
+        raise BudgetExceeded("the budget ran out before the first step completed")
 
     verdict = classify(report)
     if verdict.kind == "converged":
@@ -353,14 +355,12 @@ def cmd_converge(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_snapshot_coeffs(path: Path, n_hint: int | None):
+def _load_snapshot(path: Path, n_hint: int | None) -> PauliSum:
     if path.suffix == ".npz":
-        snap = PauliSum.from_npz(path)
-        return np.abs(snap.coeffs), snap
+        return PauliSum.from_npz(path)
     if n_hint is None:
         raise UsageError("--n is required to load a CSV snapshot")
-    snap = PauliSum.from_csv(path, n_hint)
-    return np.abs(snap.coeffs), snap
+    return PauliSum.from_csv(path, n_hint)
 
 
 def cmd_analyze(args) -> int:
@@ -369,7 +369,7 @@ def cmd_analyze(args) -> int:
     did_anything = False
 
     if args.snapshot:
-        abs_coeffs, snap = _load_snapshot_coeffs(Path(args.snapshot), args.n)
+        snap = _load_snapshot(Path(args.snapshot), args.n)
         if args.histogram:
             hist = histogram(
                 snap.coeffs, bins=args.bins, absolute=args.absolute,
@@ -381,6 +381,7 @@ def cmd_analyze(args) -> int:
         if args.mle:
             if args.delta is None:
                 raise UsageError("--mle requires --delta")
+            abs_coeffs = np.abs(snap.coeffs)
             for mult in _parse_float_list(args.xmin_mult):
                 x_min = mult * args.delta
                 m_hat = fit_m_mle(abs_coeffs, x_min)
@@ -394,7 +395,7 @@ def cmd_analyze(args) -> int:
         if args.regression:
             if args.delta is None:
                 raise UsageError("--regression requires --delta")
-            fits.append(fit_m_regression(abs_coeffs, args.delta, l=args.l))
+            fits.append(fit_m_regression(snap.coeffs, args.delta, l=args.l))
             did_anything = True
         if fits:
             _write_json(manifest.add(out / "fits.json"), [f.to_json_dict() for f in fits])
@@ -419,11 +420,10 @@ def cmd_analyze(args) -> int:
         model = PowerLawModel(m=args.m, delta=args.delta)
         thetas = np.linspace(args.theta_min, args.theta_max, args.theta_count)
         rows = s_theta_sweep(model, thetas)
-        with open(manifest.add(out / "s_theta.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "s", "r"])
-            for row in rows:
-                writer.writerow([repr(row["theta"]), repr(row["s"]), repr(row["r"])])
+        _write_csv(
+            manifest.add(out / "s_theta.csv"), ["theta", "s", "r"],
+            ([repr(row["theta"]), repr(row["s"]), repr(row["r"])] for row in rows),
+        )
         did_anything = True
 
     if not did_anything:
@@ -443,6 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse Pauli-path propagation, resource estimation, and convergence diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--circuit", required=True)
+    inputs.add_argument("--observable", required=True, help="Pauli label or observable JSON file")
+    inputs.add_argument("--out-dir", required=True)
 
     gen = sub.add_parser("gen-circuit", help="generate a model-family circuit file")
     gen_sub = gen.add_subparsers(dest="family", required=True)
@@ -469,31 +473,24 @@ def build_parser() -> argparse.ArgumentParser:
     gi.add_argument("--out", required=True)
     gi.set_defaults(func=cmd_gen_circuit)
 
-    run_p = sub.add_parser("run", help="propagate an observable at one threshold")
-    run_p.add_argument("--circuit", required=True)
-    run_p.add_argument("--observable", required=True, help="Pauli label or observable JSON file")
+    run_p = sub.add_parser("run", parents=[inputs], help="propagate an observable at one threshold")
     run_p.add_argument("--delta", type=float, required=True)
-    run_p.add_argument("--out-dir", required=True)
     run_p.add_argument("--snapshots", default=None, help="'steps' or comma-separated gate indices")
     run_p.add_argument("--budget", type=float, default=None, help="wall-clock budget (s)")
     run_p.add_argument("--max-rows", type=int, default=None)
     run_p.set_defaults(func=cmd_run)
 
-    est = sub.add_parser("estimate", help="probe runs + N_max/runtime extrapolation")
-    est.add_argument("--circuit", required=True)
-    est.add_argument("--observable", required=True)
+    est = sub.add_parser("estimate", parents=[inputs],
+                         help="probe runs + N_max/runtime extrapolation")
     est.add_argument("--delta0", type=float, default=DEFAULT_DELTA_0)
     est.add_argument("--ratio", type=float, default=DEFAULT_RATIO)
     est.add_argument("--count", type=int, default=3)
     est.add_argument("--targets", required=True, help="comma-separated target deltas")
     est.add_argument("--tail-points", type=int, default=4)
     est.add_argument("--budget", type=float, default=None)
-    est.add_argument("--out-dir", required=True)
     est.set_defaults(func=cmd_estimate)
 
-    conv = sub.add_parser("converge", help="apparent-convergence protocol")
-    conv.add_argument("--circuit", required=True)
-    conv.add_argument("--observable", required=True)
+    conv = sub.add_parser("converge", parents=[inputs], help="apparent-convergence protocol")
     conv.add_argument("--delta0", type=float, default=0.125)
     conv.add_argument("--ratio", type=float, default=0.5)
     conv.add_argument("--eps-tol", type=float, default=1e-2)
@@ -501,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--t-cpu", type=float, default=600.0, help="per-step budget (s)")
     conv.add_argument("--max-steps", type=int, default=40)
     conv.add_argument("--cumulative-budget", type=float, default=None)
-    conv.add_argument("--out-dir", required=True)
     conv.set_defaults(func=cmd_converge)
 
     ana = sub.add_parser("analyze", help="histograms, exponent fits, spikes, s(theta) sweeps")
@@ -594,12 +590,9 @@ def main(argv=None) -> int:
     except (InvariantViolation, QuadratureError, SingularityError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except RowCapExceeded as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    except Aborted as exc:
+        print(f"aborted: {exc}", file=sys.stderr)
+        return ABORT_EXIT[type(exc)]
     except (PauliError, CircuitError, EstimationImpossible, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

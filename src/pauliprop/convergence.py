@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .circuits import Circuit
-from .engine import BudgetExceeded, RowCapExceeded, evolve, expectation
+from .engine import BudgetExceeded, evolve, expectation
 from .estimator import EstimationImpossible, predict_runtime
 from .sums import PauliSum
 
@@ -173,7 +173,8 @@ def run_protocol(circuit: Circuit, observable: PauliSum, config: ConvergenceConf
     Stop rules: (a) the trailing ell estimates span at most eps_tol
     (apparently converged); (b) the most recent runtime exceeds t_cpu_s
     (budget exhausted; a single run is also cut off at the budget and
-    recorded without an estimate); (c) max_steps reached.
+    recorded without an estimate); (c) max_steps reached.  A row-cap stop
+    raises RowCapExceeded and returns no report.
     """
     report = ConvergenceReport(config=config)
     started = time.monotonic()
@@ -198,9 +199,6 @@ def run_protocol(circuit: Circuit, observable: PauliSum, config: ConvergenceConf
             }
             report.status = STATUS_BUDGET
             break
-        except RowCapExceeded as exc:
-            exc.report = _finish(report)
-            raise
         runtime = time.monotonic() - t0
         report.steps.append(
             ConvergenceStep(

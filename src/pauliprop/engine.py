@@ -41,6 +41,7 @@ from .sums import PauliSum, pairwise_dot
 __all__ = [
     "GateStats",
     "TraceLog",
+    "Aborted",
     "BudgetExceeded",
     "RowCapExceeded",
     "DEFAULT_ROW_CAP",
@@ -56,8 +57,8 @@ _QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 DEFAULT_ROW_CAP = 2**31
 
 
-class BudgetExceeded(RuntimeError):
-    """Wall-clock budget ran out; carries the partial trace and state."""
+class Aborted(RuntimeError):
+    """A run stopped at a limit; carries the partial trace and state, if any."""
 
     def __init__(self, message, trace=None, partial=None):
         super().__init__(message)
@@ -65,13 +66,12 @@ class BudgetExceeded(RuntimeError):
         self.partial = partial
 
 
-class RowCapExceeded(RuntimeError):
-    """Row count would exceed the cap; carries the partial trace and state."""
+class BudgetExceeded(Aborted):
+    """The wall-clock budget ran out."""
 
-    def __init__(self, message, trace=None, partial=None):
-        super().__init__(message)
-        self.trace = trace
-        self.partial = partial
+
+class RowCapExceeded(Aborted):
+    """The row count would exceed the cap."""
 
 
 @dataclass

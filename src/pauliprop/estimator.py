@@ -148,8 +148,9 @@ def run_probes(
 ) -> ProbeSeries:
     """Evolve at delta_i = ratio^i * delta_0 for i = 0..count-1.
 
-    Stops early when the wall budget runs out; fewer than two completed
-    probes raises EstimationImpossible.
+    Stops early when the wall budget runs out.  Fewer than two completed
+    probes raises BudgetExceeded when the budget cut the series short, and
+    EstimationImpossible otherwise.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -184,9 +185,8 @@ def run_probes(
             )
         )
     if len(series.probes) < 2:
-        raise EstimationImpossible(
-            f"only {len(series.probes)} probe(s) completed; need at least 2 for regression"
-        )
+        error = BudgetExceeded if series.budget_exhausted else EstimationImpossible
+        raise error(f"only {len(series.probes)} probe(s) completed; need at least 2 for regression")
     return series
 
 

@@ -147,8 +147,7 @@ class PauliSum:
         with np.load(path) as data:
             n = int(data["n"])
             bits, coeffs = data["bits"], data["coeffs"]
-        # lexsort's last key is the primary one: reversed columns sort column 0 first
-        order = np.lexsort(bits.T[::-1])
+        order = kernels.sort_order(bits)
         bits, coeffs = bits[order], coeffs[order]
         if np.any(np.all(bits[1:] == bits[:-1], axis=1)):
             raise ValueError(f"snapshot {path} repeats a Pauli row")

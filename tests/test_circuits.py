@@ -1,6 +1,8 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pauliprop import (
@@ -8,9 +10,11 @@ from pauliprop import (
     CircuitError,
     FixedAngle,
     PauliString,
+    PauliSum,
     Topology,
     UniformRandomAngle,
     builtin_topology,
+    evolve,
     kicked_ising,
     load_topology,
     tfim_trotter_grid,
@@ -169,6 +173,22 @@ class TestSerialization:
         assert len(back.gates) == len(circ.gates)
         for (g1, t1), (g2, t2) in zip(circ.gates, back.gates):
             assert g1 == g2 and t1 == t2
+
+    def test_load_shares_one_generator_per_label(self, tmp_path):
+        topo = Topology.grid(2, 3)
+        circ = kicked_ising(topo, T=3, theta_zz=-math.pi / 2, theta_x_spec=FixedAngle(0.45))
+        path = tmp_path / "circ.json"
+        circ.save(path)
+        back = Circuit.load(path)
+        labels = {g.to_sparse_label() for g, _ in back.gates}
+        assert len({id(g) for g, _ in back.gates}) == len(labels) == len(topo.edges) + topo.n
+        obs = PauliSum.from_terms(6, [("Z2", 1.0)])
+        built_final, built_trace = evolve(circ, obs, 1e-3)
+        back_final, back_trace = evolve(back, obs, 1e-3)
+        assert np.array_equal(back_final.bits, built_final.bits)
+        assert np.array_equal(back_final.coeffs, built_final.coeffs)
+        untimed = [replace(g, elapsed_ns=0) for g in built_trace.gates]
+        assert [replace(g, elapsed_ns=0) for g in back_trace.gates] == untimed
 
     def test_save_is_byte_stable(self, tmp_path):
         topo = Topology.grid(2, 2)

@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -257,6 +258,43 @@ class TestConverge:
         first = lines[1].split(",")
         assert abs(float(first[0]) - math.log10(8.0)) < 1e-12
 
+    def test_no_completed_step_is_budget_abort(self, small_circuit, tmp_path):
+        out_dir = tmp_path / "conv"
+        code = main([
+            "converge", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--cumulative-budget", "0", "--out-dir", str(out_dir),
+        ])
+        assert code == EXIT_BUDGET
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["status"] == "budget_exhausted" and report["steps"] == []
+        assert (out_dir / "manifest.json").exists()
+
+    def test_step_cut_off_is_budget_abort(self, small_circuit, tmp_path):
+        out_dir = tmp_path / "conv"
+        code = main([
+            "converge", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--t-cpu", "1e-9", "--out-dir", str(out_dir),
+        ])
+        assert code == EXIT_BUDGET
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["steps"] == [] and report["aborted_step"]["n"] == 0
+
+    def test_budget_after_completed_step_exits_ok(self, small_circuit, tmp_path, monkeypatch):
+        from pauliprop import convergence
+
+        # the protocol's clock advances 10 s a call: step 0 completes, step 1 finds the
+        # cumulative budget spent
+        ticks = iter(range(0, 10_000, 10))
+        monkeypatch.setattr(convergence, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        out_dir = tmp_path / "conv"
+        code = main([
+            "converge", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--cumulative-budget", "15", "--out-dir", str(out_dir),
+        ])
+        assert code == EXIT_OK
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["status"] == "budget_exhausted" and len(report["steps"]) == 1
+
 
 class TestEstimate:
     def test_reports_and_csv(self, small_circuit, tmp_path, capsys):
@@ -271,6 +309,22 @@ class TestEstimate:
         assert len(payload["series"]["probes"]) == 4
         assert len(payload["prediction"]["predicted_n_max"]) == 2
         assert "predicted N_max" in capsys.readouterr().out
+
+    def test_budget_without_two_probes_is_budget_abort(self, small_circuit, tmp_path):
+        code = main([
+            "estimate", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--delta0", "0.05", "--targets", "0.001", "--budget", "0",
+            "--out-dir", str(tmp_path / "est"),
+        ])
+        assert code == EXIT_BUDGET
+
+    def test_one_probe_is_usage_error(self, small_circuit, tmp_path):
+        code = main([
+            "estimate", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--delta0", "0.05", "--count", "1", "--targets", "0.001",
+            "--out-dir", str(tmp_path / "est"),
+        ])
+        assert code == EXIT_USAGE
 
     def test_targets_coarser_than_probes_rejected(self, small_circuit, tmp_path):
         code = main([

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from oracles import random_circuit_gates
-from pauliprop import Circuit, FixedAngle, PauliString, PauliSum, Topology, kicked_ising
+from pauliprop import (
+    BudgetExceeded,
+    Circuit,
+    FixedAngle,
+    PauliString,
+    PauliSum,
+    Topology,
+    kicked_ising,
+)
 from pauliprop.estimator import (
     EstimationImpossible,
     ProbeResult,
@@ -181,7 +189,7 @@ class TestRunProbes:
 
     def test_budget_stops_early(self):
         circ, obs = self._small_problem()
-        with pytest.raises(EstimationImpossible):
+        with pytest.raises(BudgetExceeded):
             run_probes(circ, obs, count=5, budget_s=0.0)
 
     def test_combined_prediction_report(self):
