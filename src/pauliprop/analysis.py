@@ -457,7 +457,8 @@ def merge_pair_correlation(s: PauliSum, sigma: PauliString) -> float:
     returns NaN when fewer than 2 pairs exist.
     """
     words = _prepare_generator(sigma, s.n)[0]
-    anti_idx, pos = _scan(s.bits, words)
+    # the prepared words are keyed (byte-swapped); key the rows to match
+    anti_idx, _, pos = _scan(s.bits.byteswap(), words)
     if pos is None:
         return float("nan")
     # each pair {P, i sigma P} once, from its lower slot

@@ -12,11 +12,13 @@ over built-in defaults, and the manifest records the resolved values.
 
 Exit codes: 0 success, 2 usage, 3 row-cap abort, 4 budget abort, 5 numerical
 error.  ``run`` exits 3 at ``--max-rows`` and 4 at ``--budget``, after writing
-its trace, summary and snapshots.  ``estimate`` exits 4 when the budget leaves
-fewer than two probes.  ``converge`` exits 4, after writing its artifacts, when
-no step completes; a budget stop after a completed step is the
-``budget_exhausted`` status and exits 0.  A row-cap stop in ``estimate`` or
-``converge`` (the default cap) exits 3 and writes no report.
+its trace, summary (with the partial state's value as ``partial_expectation``)
+and snapshots.  ``estimate`` exits 4 when the budget leaves fewer than two
+probes.  ``converge`` exits 4, after writing its artifacts, when no step
+completes; a budget stop after a completed step is the ``budget_exhausted``
+status and exits 0.  A row-cap stop in ``estimate`` or ``converge`` (the
+default cap) exits 3 and writes no report.  Every stop at a limit writes the
+manifest, with ``aborted`` naming the limit.
 """
 
 from __future__ import annotations
@@ -132,7 +134,12 @@ class _Manifest:
     def timing(self, key: str, value) -> None:
         self.payload["timings"][key] = value
 
-    def write(self, out_dir: Path, name: str = "manifest.json") -> None:
+    def write(
+        self, out_dir: Path, name: str = "manifest.json", aborted: Aborted | None = None
+    ) -> None:
+        """Write the manifest; ``aborted`` is the stop at a limit that ended the command."""
+        if aborted is not None:
+            self.payload["aborted"] = aborted.reason
         self.payload["wall_time_s"] = time.monotonic() - self._t0
         path = out_dir / name
         self.payload["artifacts"].append(str(path))
@@ -266,7 +273,7 @@ def cmd_run(args) -> int:
     _write_json(manifest.add(out / "summary.json"), summary)
     manifest.timing("evolve_s", wall)
     _write_snapshots(trace, out, manifest, args.delta)
-    manifest.write(out)
+    manifest.write(out, aborted=aborted)
     if aborted is not None:
         print(f"aborted ({trace.aborted}) after {len(trace.gates)} gates", file=sys.stderr)
         return ABORT_EXIT[type(aborted)]
@@ -292,10 +299,14 @@ def cmd_estimate(args) -> int:
                 f"target delta {t} must be below the finest probe delta {finest_probe:g}"
             )
 
-    series = run_probes(
-        circuit, observable, delta_0=args.delta0, ratio=args.ratio,
-        count=args.count, budget_s=args.budget,
-    )
+    try:
+        series = run_probes(
+            circuit, observable, delta_0=args.delta0, ratio=args.ratio,
+            count=args.count, budget_s=args.budget,
+        )
+    except Aborted as exc:
+        manifest.write(out, aborted=exc)
+        raise
     prediction = predict_resources(series, targets, tail_points=args.tail_points)
 
     report = {
@@ -328,7 +339,11 @@ def cmd_converge(args) -> int:
         t_cpu_s=args.t_cpu, max_steps=args.max_steps,
         cumulative_budget_s=args.cumulative_budget,
     )
-    report = run_protocol(circuit, observable, config)
+    try:
+        report = run_protocol(circuit, observable, config)
+    except Aborted as exc:  # a row-cap stop; a budget stop is the report's status
+        manifest.write(out, aborted=exc)
+        raise
     _write_json(manifest.add(out / "report.json"), report.to_json_dict(include_timings=False))
     _write_json(manifest.add(out / "timing.json"), report.timing_json_dict())
     _write_csv(
@@ -336,9 +351,12 @@ def cmd_converge(args) -> int:
         ([repr(math.log10(1.0 / s.delta)), repr(s.estimate), repr(s.runtime_s)]
          for s in report.steps),
     )
-    manifest.write(out)
+    stop = None
     if not report.steps:
-        raise BudgetExceeded("the budget ran out before the first step completed")
+        stop = BudgetExceeded("the budget ran out before the first step completed")
+    manifest.write(out, aborted=stop)
+    if stop is not None:
+        raise stop
 
     verdict = classify(report)
     if verdict.kind == "converged":

@@ -21,6 +21,14 @@ larger than the state, never smaller.
 Rows are kept in canonical packed order throughout, which makes every run
 bit-identical.  Each gate is composed from vectorized numpy pieces over the
 bit kernels in :mod:`pauliprop.kernels`; all float updates are elementwise.
+
+Inside :func:`evolve` every word is stored byte-swapped, big-endian in
+memory, so a row's bytes are its sort key: the state's words are swapped
+once on entry and a generator's once when it is prepared, and every state
+that leaves (the final state, snapshots, the peak snapshot and the partial
+state of an abort) is swapped back to the :class:`PauliSum` layout.  Every
+row move in a gate (gathers, threshold compaction and the merge's scatters)
+moves each row as one fixed-width item.
 """
 
 from __future__ import annotations
@@ -58,7 +66,11 @@ DEFAULT_ROW_CAP = 2**31
 
 
 class Aborted(RuntimeError):
-    """A run stopped at a limit; carries the partial trace and state, if any."""
+    """A run stopped at a limit; carries the partial trace and state, if any.
+
+    Each subclass names its limit in ``reason``, the value of
+    ``TraceLog.aborted`` and of a manifest's ``aborted``.
+    """
 
     def __init__(self, message, trace=None, partial=None):
         super().__init__(message)
@@ -69,9 +81,13 @@ class Aborted(RuntimeError):
 class BudgetExceeded(Aborted):
     """The wall-clock budget ran out."""
 
+    reason = "budget"
+
 
 class RowCapExceeded(Aborted):
     """The row count would exceed the cap."""
+
+    reason = "row_cap"
 
 
 @dataclass
@@ -167,7 +183,8 @@ class TraceLog:
             "aborted": self.aborted,
         }
         if expectation is not None:
-            out["expectation"] = expectation
+            # a stopped run's value is of a mid-circuit state, not the answer
+            out["partial_expectation" if self.aborted else "expectation"] = expectation
         return out
 
 
@@ -186,6 +203,16 @@ class _Generator(NamedTuple):
     cross_mask: int  # the words with z and x halves swapped, as one int
 
 
+def _rows(bits):
+    """The rows as one fixed-width void item each, for single-item moves."""
+    return bits.view(f"V{8 * bits.shape[1]}").reshape(len(bits))
+
+
+def _take(bits, index):
+    """bits[index] (slots or a mask), moving each row as one item."""
+    return _rows(bits)[index].view(np.uint64).reshape(-1, bits.shape[1])
+
+
 def _as_int(words: np.ndarray) -> int:
     return int.from_bytes(np.ascontiguousarray(words, dtype="<u8").tobytes(), "little")
 
@@ -195,7 +222,7 @@ def _swap_halves(words: np.ndarray) -> np.ndarray:
 
 
 def _prepare_generator(sigma: PauliString, n: int) -> _Generator:
-    """Packed words, canonical alpha, orientation, and light-cone masks.
+    """Keyed (byte-swapped) words, canonical alpha, orientation, and light-cone masks.
 
     A generator whose alpha differs from canonical by 2 represents the
     negated plain string; rotating about -sigma by theta equals rotating
@@ -203,7 +230,7 @@ def _prepare_generator(sigma: PauliString, n: int) -> _Generator:
     """
     if sigma.n != n:
         raise PauliError(f"generator acts on {sigma.n} qubits, observable has {n}")
-    words = sigma.nu_words()
+    words = sigma.nu_words().byteswap()
     canon = sigma.canonical_alpha()
     diff = (sigma.alpha - canon) % 4
     if diff == 0:
@@ -225,15 +252,15 @@ def _prepare_generator(sigma: PauliString, n: int) -> _Generator:
 def _merge_arrays(bits, coeffs, new_bits, new_coeffs, pos):
     """Insert a sorted new block at the given searchsorted positions."""
     n, m = len(coeffs), len(new_coeffs)
-    width = bits.shape[1]
-    out_bits = np.empty((n + m, width), np.uint64)
+    out_bits = np.empty((n + m, bits.shape[1]), np.uint64)
     out_coeffs = np.empty(n + m, np.float64)
+    out_rows = _rows(out_bits)
     new_at = pos + np.arange(m)
     old_mask = np.ones(n + m, bool)
     old_mask[new_at] = False
-    out_bits[new_at] = new_bits
+    out_rows[new_at] = _rows(new_bits)
     out_coeffs[new_at] = new_coeffs
-    out_bits[old_mask] = bits
+    out_rows[old_mask] = _rows(bits)
     out_coeffs[old_mask] = coeffs
     return out_bits, out_coeffs
 
@@ -243,20 +270,21 @@ def _threshold(bits, coeffs, delta):
     keep = np.abs(coeffs) >= delta if delta > 0 else coeffs != 0.0
     dropped = int(len(coeffs) - np.count_nonzero(keep))
     if dropped:
-        bits = np.ascontiguousarray(bits[keep])
+        bits = _take(bits, keep)
         coeffs = coeffs[keep]
     return bits, coeffs, dropped
 
 
 def _scan(bits, words):
-    """Anti-commuting row slots and their partner slots.
+    """Anti-commuting row slots, those rows, and their partner slots.
 
     A partner slot is -1 when the row bits ^ words is absent; the partner
     search is skipped (pos is None) when no row anti-commutes.
     """
     anti_idx = np.flatnonzero(kernels.anti_mask(bits, words))
-    pos = kernels.find_rows(bits, bits[anti_idx] ^ words) if len(anti_idx) else None
-    return anti_idx, pos
+    anti_bits = _take(bits, anti_idx)
+    pos = kernels.find_rows(bits, anti_bits ^ words) if len(anti_idx) else None
+    return anti_idx, anti_bits, pos
 
 
 def _gate(bits, coeffs, prep, theta, delta, row_cap):
@@ -267,7 +295,7 @@ def _gate(bits, coeffs, prep, theta, delta, row_cap):
     """
     words, canon, orientation = prep.words, prep.canon, prep.orientation
     n_rows = len(coeffs)
-    anti_idx, pos = _scan(bits, words)
+    anti_idx, anti_bits, pos = _scan(bits, words)
     n_anti = len(anti_idx)
     if n_anti == 0:
         return bits, coeffs, 0.0, 0.0, 0, False
@@ -294,19 +322,25 @@ def _gate(bits, coeffs, prep, theta, delta, row_cap):
     vacated = n_unpaired if cos_t == 0.0 else 0
     if n_rows + n_unpaired - vacated > row_cap:
         return bits, coeffs, phi, eta, 0, True
-    signs = kernels.branch_signs(bits[anti_idx], words, canon)
+    signs = kernels.branch_signs(anti_bits, words, canon)
     if np.any(signs == 0):
         raise InvariantViolation("non-Hermitian branch phase; state is corrupt")
     signs = signs.astype(np.float64)
 
     # the branched rows: thresholded, then sorted for the merge
-    unpaired_rows = anti_idx[~paired]
+    unpaired = ~paired
+    unpaired_rows = anti_idx[unpaired]
+    branched = _take(anti_bits, unpaired)
+    branched ^= words
     new_bits, new_coeffs, new_dropped = _threshold(
-        bits[unpaired_rows] ^ words, coeffs[unpaired_rows] * (sin_t * signs[~paired]), delta
+        branched, coeffs[unpaired_rows] * (sin_t * signs[unpaired]), delta
     )
+    # free the gathered rows before the full-state threshold and merge,
+    # which set the peak memory of the gate
+    del anti_bits, branched
     if len(new_coeffs):
         order = kernels.sort_order(new_bits)
-        new_bits = np.ascontiguousarray(new_bits[order])
+        new_bits = _take(new_bits, order)
         new_coeffs = new_coeffs[order]
 
     if n_paired:
@@ -390,10 +424,10 @@ def evolve(
         preps.append(prep)
 
     trace = TraceLog(n=n, delta=delta, initial_norm=observable.raw_norm())
-    # the gate writes coefficients in place and never bits, so only the
-    # coefficients are copied, here and for snapshots; the threshold runs
-    # once on entry so every row reaching a gate already passes it
-    bits, coeffs, _ = _threshold(observable.bits, observable.coeffs.copy(), delta)
+    # the keyed copy of the words and the coefficient copy are evolve's own;
+    # the threshold runs once on entry so every row reaching a gate already
+    # passes it
+    bits, coeffs, _ = _threshold(observable.bits.byteswap(), observable.coeffs.copy(), delta)
     norm = math.sqrt(pairwise_dot(coeffs, coeffs))
     cone = _as_int(_swap_halves(np.bitwise_or.reduce(bits, axis=0)))
 
@@ -404,11 +438,11 @@ def evolve(
 
     for k, (sigma, theta) in enumerate(circuit.gates, start=1):
         if deadline is not None and time.monotonic() > deadline:
-            trace.aborted = "budget"
+            trace.aborted = BudgetExceeded.reason
             raise BudgetExceeded(
                 f"budget {budget_s}s exhausted at gate {k}/{len(circuit.gates)}",
                 trace=trace,
-                partial=PauliSum(n, bits, coeffs),
+                partial=PauliSum(n, bits.byteswap(), coeffs),
             )
         gate_start = time.perf_counter_ns()
         n_before = len(coeffs)
@@ -416,11 +450,11 @@ def evolve(
         if cone & prep.mask:
             bits, coeffs, phi, eta, truncated, capped = _gate(bits, coeffs, prep, theta, delta, cap)
             if capped:
-                trace.aborted = "row_cap"
+                trace.aborted = RowCapExceeded.reason
                 raise RowCapExceeded(
                     f"row cap {cap} exceeded at gate {k}/{len(circuit.gates)}",
                     trace=trace,
-                    partial=PauliSum(n, bits, coeffs),
+                    partial=PauliSum(n, bits.byteswap(), coeffs),
                 )
             if phi > 0.0:  # with phi = 0 no coefficient changed
                 cone |= prep.cross_mask
@@ -436,13 +470,13 @@ def evolve(
         )
         if instrumented:
             if k in snap_at:
-                trace.snapshots[k] = PauliSum(n, bits, coeffs.copy())
+                trace.snapshots[k] = PauliSum(n, bits.byteswap(), coeffs.copy())
             if track_peak_snapshot and len(coeffs) > peak:
                 peak = len(coeffs)
-                trace.peak_snapshot = (k, PauliSum(n, bits, coeffs.copy()))
+                trace.peak_snapshot = (k, PauliSum(n, bits.byteswap(), coeffs.copy()))
 
     trace.finalize()
-    return PauliSum(n, bits, coeffs), trace
+    return PauliSum(n, bits.byteswap(inplace=True), coeffs), trace
 
 
 def expectation(s: PauliSum) -> float:

@@ -1,9 +1,14 @@
 """Hot inner-loop kernels over packed Pauli rows.
 
 Rows live in a C-contiguous ``(N, 2W)`` uint64 matrix: W z-words then W
-x-words per row.  The canonical row order used everywhere is word-by-word
-unsigned comparison (column 0 first), which equals memcmp order on the
-big-endian packed bytes produced by :func:`pack_keys`.
+x-words per row, each word stored big-endian in memory (the byte-swap of a
+:class:`~pauliprop.sums.PauliSum` row; see :func:`pauliprop.engine.evolve`).
+The canonical row order used everywhere is word-by-word unsigned comparison
+of the native words (column 0 first), which is memcmp order on these bytes,
+so :func:`pack_keys` is a zero-copy view.  AND, XOR and popcount do not
+depend on byte order, so the bit kernels read the keyed rows as they are.
+A caller holding native rows (a ``PauliSum``'s ``bits``, a generator's
+``nu_words()``) passes ``.byteswap()`` of them.
 
 Kernels do integer and bit work only; all floating-point arithmetic stays
 in the engine.
@@ -24,17 +29,16 @@ __all__ = [
 
 
 def pack_keys(bits: np.ndarray) -> np.ndarray:
-    """Big-endian byte keys, one fixed-width bytes scalar per row.
+    """The keyed rows as one fixed-width bytes scalar each, without a copy.
 
     memcmp order on these keys equals the canonical row order.
     """
     rows, width = bits.shape
-    be = np.ascontiguousarray(bits).astype(">u8")
-    return be.view(f"S{8 * width}").reshape(rows)
+    return np.ascontiguousarray(bits).view(f"S{8 * width}").reshape(rows)
 
 
 def sort_order(bits: np.ndarray) -> np.ndarray:
-    """Permutation putting rows in canonical order (rows must be unique)."""
+    """Permutation putting keyed rows in canonical order (rows must be unique)."""
     return np.argsort(pack_keys(bits), kind="stable")
 
 

@@ -84,7 +84,8 @@ class PauliSum:
     def _find(self, p: PauliString) -> int:
         if p.n != self.n:
             raise PauliError(f"size mismatch: {p.n} vs {self.n} qubits")
-        return int(kernels.find_rows(self.bits, p.nu_words()[None, :])[0])
+        # the kernels take keyed (byte-swapped) rows
+        return int(kernels.find_rows(self.bits.byteswap(), p.nu_words().byteswap()[None, :])[0])
 
     def __contains__(self, p: PauliString) -> bool:
         return self._find(p) >= 0
@@ -147,7 +148,7 @@ class PauliSum:
         with np.load(path) as data:
             n = int(data["n"])
             bits, coeffs = data["bits"], data["coeffs"]
-        order = kernels.sort_order(bits)
+        order = kernels.sort_order(bits.byteswap())
         bits, coeffs = bits[order], coeffs[order]
         if np.any(np.all(bits[1:] == bits[:-1], axis=1)):
             raise ValueError(f"snapshot {path} repeats a Pauli row")

@@ -13,9 +13,11 @@ import pytest
 import scipy
 
 import pauliprop
+from pauliprop import engine
 from pauliprop.cli import (
     EXIT_BUDGET,
     EXIT_OK,
+    EXIT_RESOURCE,
     EXIT_USAGE,
     main,
 )
@@ -131,8 +133,6 @@ class TestRun:
         assert abs(summary["expectation"] - 0.4333369261237029) <= 1e-10
 
     def test_row_cap_abort_exit_code(self, small_circuit, tmp_path):
-        from pauliprop.cli import EXIT_RESOURCE
-
         out_dir = tmp_path / "capped"
         code = main([
             "run", "--circuit", str(small_circuit), "--observable", "Z2",
@@ -141,6 +141,21 @@ class TestRun:
         assert code == EXIT_RESOURCE
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["aborted"] == "row_cap"
+
+    def test_abort_writes_partial_expectation(self, small_circuit, tmp_path):
+        out_dir = tmp_path / "capped"
+        code = main([
+            "run", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--delta", "0", "--out-dir", str(out_dir), "--max-rows", "4",
+        ])
+        assert code == EXIT_RESOURCE
+        summary = json.loads((out_dir / "summary.json").read_text())
+        # the value of a mid-circuit state is never written as the answer
+        assert "expectation" not in summary
+        assert math.isfinite(summary["partial_expectation"])
+        assert summary["gates"] < len(json.loads(small_circuit.read_text())["gates"])
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["aborted"] == "row_cap"
 
     @pytest.mark.parametrize("angle", ["Infinity", "NaN"])
     def test_non_finite_angle_usage_error(self, small_circuit, tmp_path, capsys, angle):
@@ -267,7 +282,7 @@ class TestConverge:
         assert code == EXIT_BUDGET
         report = json.loads((out_dir / "report.json").read_text())
         assert report["status"] == "budget_exhausted" and report["steps"] == []
-        assert (out_dir / "manifest.json").exists()
+        assert json.loads((out_dir / "manifest.json").read_text())["aborted"] == "budget"
 
     def test_step_cut_off_is_budget_abort(self, small_circuit, tmp_path):
         out_dir = tmp_path / "conv"
@@ -295,6 +310,19 @@ class TestConverge:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["status"] == "budget_exhausted" and len(report["steps"]) == 1
 
+    def test_row_cap_stop_writes_manifest(self, small_circuit, tmp_path, monkeypatch):
+        # converge takes no --max-rows: lower the default cap instead
+        monkeypatch.setattr(engine, "DEFAULT_ROW_CAP", 4)
+        out_dir = tmp_path / "conv"
+        code = main([
+            "converge", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--out-dir", str(out_dir),
+        ])
+        assert code == EXIT_RESOURCE
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["aborted"] == "row_cap" and manifest["command"] == "converge"
+        assert not (out_dir / "report.json").exists()
+
 
 class TestEstimate:
     def test_reports_and_csv(self, small_circuit, tmp_path, capsys):
@@ -317,6 +345,28 @@ class TestEstimate:
             "--out-dir", str(tmp_path / "est"),
         ])
         assert code == EXIT_BUDGET
+
+    def test_budget_abort_leaves_manifest(self, small_circuit, tmp_path):
+        out_dir = tmp_path / "est"
+        code = main([
+            "estimate", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--delta0", "0.05", "--targets", "0.001", "--budget", "0",
+            "--out-dir", str(out_dir),
+        ])
+        assert code == EXIT_BUDGET
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["aborted"] == "budget" and manifest["command"] == "estimate"
+        assert manifest["artifacts"] == [str(out_dir / "manifest.json")]
+
+    def test_row_cap_stop_leaves_manifest(self, small_circuit, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine, "DEFAULT_ROW_CAP", 4)
+        out_dir = tmp_path / "est"
+        code = main([
+            "estimate", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--delta0", "0.05", "--targets", "0.001", "--out-dir", str(out_dir),
+        ])
+        assert code == EXIT_RESOURCE
+        assert json.loads((out_dir / "manifest.json").read_text())["aborted"] == "row_cap"
 
     def test_one_probe_is_usage_error(self, small_circuit, tmp_path):
         code = main([

@@ -407,8 +407,12 @@ class TestSingleRotationPath:
 
 
 def _reference_evolve(circuit, observable, delta):
-    """evolve without the light cone: engine._gate on every gate, norm after every gate."""
-    bits, coeffs, _ = engine._threshold(observable.bits, observable.coeffs.copy(), delta)
+    """evolve without the light cone: engine._gate on every gate, norm after every gate.
+
+    The gate works on keyed rows, so the words are byte-swapped on the way in
+    and back on the way out, as evolve does.
+    """
+    bits, coeffs, _ = engine._threshold(observable.bits.byteswap(), observable.coeffs.copy(), delta)
     rows = []
     for k, (sigma, theta) in enumerate(circuit.gates, start=1):
         n_before = len(coeffs)
@@ -419,7 +423,7 @@ def _reference_evolve(circuit, observable, delta):
         assert not capped
         norm = math.sqrt(pairwise_dot(coeffs, coeffs))
         rows.append((k, theta, phi, eta, n_before, len(coeffs), truncated, norm))
-    return bits, coeffs, rows
+    return bits.byteswap(), coeffs, rows
 
 
 def _evolve_recording_scans(circuit, observable, delta):
@@ -486,6 +490,71 @@ class TestLightCone:
         assert [g.phi for g in trace.gates] == [0.0, 1.0, 0.0, 0.0]
         norms = [g.norm_after for g in trace.gates]
         assert norms == [1.0, norms[1], norms[1], norms[1]]
+
+
+def _layout_circuit(n):
+    """Non-Clifford rotations and quarter turns on qubits in every word of the row."""
+    qubits = sorted({0, 1, n // 2, n - 2, n - 1} | ({62, 63, 64, 65} if n > 64 else set()))
+    gates = []
+    for step in range(2):
+        gates += [(f"Z{a}*Z{b}", -math.pi / 2) for a, b in zip(qubits, qubits[1:])]
+        gates += [(f"X{q}", 0.3 + 0.1 * step) for q in qubits]
+        gates += [(f"Y{q}", 0.7) for q in qubits[::2]]
+    observable = PauliSum.from_terms(n, [(f"Z{q}", 1.0 / (1 + i)) for i, q in enumerate(qubits)])
+    return _circuit(n, gates), observable
+
+
+def _assert_pauli_sum_layout(s):
+    """s holds native rows in canonical order, the PauliSum invariant.
+
+    Rows left keyed also set padding bits past qubit n (every n here leaves
+    its last word part empty), which terms() rejects.
+    """
+    assert np.array_equal(kernels.sort_order(s.bits.byteswap()), np.arange(len(s)))
+    back = PauliSum.from_terms(s.n, s.terms())
+    assert back.bits.tobytes() == s.bits.tobytes()
+    assert back.coeffs.tobytes() == s.coeffs.tobytes()
+
+
+class TestLayoutBoundary:
+    """Every state that leaves evolve is back in the PauliSum layout."""
+
+    @pytest.mark.parametrize("n", [6, 70, 130])  # 1, 2 and 3 words per half
+    def test_every_way_out(self, n, monkeypatch):
+        circuit, observable = _layout_circuit(n)
+        delta = 1e-3
+
+        def prefix(k):
+            return evolve(Circuit(n=n, gates=circuit.gates[:k]), observable, delta)[0]
+
+        snap_at = len(circuit.gates) // 2
+        final, trace = evolve(circuit, observable, delta, snapshot_gates=(snap_at,),
+                              track_peak_snapshot=True)
+        peak_k, peak = trace.peak_snapshot
+        states = {"final": final, "snapshot": trace.snapshots[snap_at], "peak": peak}
+
+        with pytest.raises(RowCapExceeded) as capped:
+            evolve(circuit, observable, delta, row_cap=trace.n_max - 1)
+        states["row_cap"] = capped.value.partial
+
+        # a clock that advances 1 s a reading runs out of a 20.5 s budget mid-circuit
+        ticks = itertools.count()
+        monkeypatch.setattr(engine, "time", mock.Mock(
+            monotonic=lambda: float(next(ticks)), perf_counter_ns=lambda: 0))
+        with pytest.raises(BudgetExceeded) as budget:
+            evolve(circuit, observable, delta, budget_s=20.5)
+        monkeypatch.undo()
+        states["budget"] = budget.value.partial
+
+        for name, s in states.items():
+            assert len(s) > 1, name
+            _assert_pauli_sum_layout(s)
+        for s, k in [(states["snapshot"], snap_at), (peak, peak_k),
+                     (states["row_cap"], len(capped.value.trace.gates)),
+                     (states["budget"], len(budget.value.trace.gates))]:
+            want = prefix(k)
+            assert s.bits.tobytes() == want.bits.tobytes()
+            assert s.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 class TestTraceLog:

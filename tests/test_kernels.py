@@ -1,3 +1,10 @@
+"""The kernels take keyed rows: each uint64 word byte-swapped (big-endian in
+memory), as inside ``engine.evolve``.  Every test builds native rows, swaps
+them at the kernel boundary and checks against Python over the native words.
+"""
+
+from bisect import bisect_left
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,26 +58,26 @@ class TestAgainstPython:
     def test_anti_mask_reference(self, rng):
         bits = _random_rows(rng, 100, 2)
         sigma = _random_rows(rng, 4, 2)[0]
-        assert np.array_equal(kernels.anti_mask(bits, sigma), _anti_reference(bits, sigma))
+        got = kernels.anti_mask(bits.byteswap(), sigma.byteswap())
+        assert np.array_equal(got, _anti_reference(bits, sigma))
 
     @settings(max_examples=200, deadline=None)
     @given(_anti_problems())
     def test_anti_mask_support_words(self, problem):
         bits, sigma = problem
-        got = kernels.anti_mask(bits, sigma)
+        got = kernels.anti_mask(bits.byteswap(), sigma.byteswap())
         assert got.dtype == bool and got.shape == (len(bits),)
         assert np.array_equal(got, _anti_reference(bits, sigma))
 
     def test_sort_order_matches_tuple_sort(self, rng):
         bits = _random_rows(rng, 200, 2)
-        order = kernels.sort_order(bits)
+        order = kernels.sort_order(bits.byteswap())
         tuples = [tuple(int(v) for v in row) for row in bits]
         assert [tuples[i] for i in order] == sorted(tuples)
 
     def test_find_rows_membership(self, rng):
-        bits = _random_rows(rng, 128, 1)
-        order = kernels.sort_order(bits)
-        bits_sorted = np.ascontiguousarray(bits[order])
+        keyed = _random_rows(rng, 128, 1).byteswap()
+        bits_sorted = np.ascontiguousarray(keyed[kernels.sort_order(keyed)])
         hits = kernels.find_rows(bits_sorted, bits_sorted[10:20])
         assert np.array_equal(hits, np.arange(10, 20))
         absent = bits_sorted[:5].copy()
@@ -86,3 +93,32 @@ class TestAgainstPython:
         assert np.array_equal(kernels.find_rows(empty, queries), np.full(3, -1))
         assert np.array_equal(kernels.lower_bound(empty, queries), np.zeros(3, dtype=np.int64))
         assert kernels.anti_mask(empty, np.ones(2, dtype=np.uint64)).shape == (0,)
+
+
+@st.composite
+def _search_problems(draw):
+    """Unique native rows sorted as tuples, and queries: present rows and others."""
+    w = draw(st.integers(1, 3))
+    width = 2 * w
+    # small words as well as full-range ones, so that rows share leading words
+    word = st.integers(0, 3) | st.sampled_from([2**63, 2**64 - 1, 255, 256]) | _WORD
+    row = st.tuples(*[word] * width)
+    rows = sorted(set(draw(st.lists(row, max_size=30))))
+    queries = draw(st.lists(st.sampled_from(rows) | row if rows else row, max_size=20))
+    return width, rows, queries
+
+
+def _keyed(rows, width):
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), width).byteswap()
+
+
+class TestKeyedSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(_search_problems())
+    def test_find_rows_and_lower_bound_match_bisect(self, problem):
+        width, rows, queries = problem
+        keyed, keyed_queries = _keyed(rows, width), _keyed(queries, width)
+        slots = [bisect_left(rows, q) for q in queries]
+        found = [i if i < len(rows) and rows[i] == q else -1 for i, q in zip(slots, queries)]
+        assert kernels.lower_bound(keyed, keyed_queries).tolist() == slots
+        assert kernels.find_rows(keyed, keyed_queries).tolist() == found

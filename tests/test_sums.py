@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,7 +83,7 @@ class TestStructure:
         terms = data.draw(st.lists(st.tuples(st.sampled_from(pool), coeff), max_size=24))
         s = PauliSum.from_terms(n, terms)
 
-        assert np.array_equal(kernels.sort_order(s.bits), np.arange(len(s)))
+        assert np.array_equal(kernels.sort_order(s.bits.byteswap()), np.arange(len(s)))
         assert len({row.tobytes() for row in s.bits}) == len(s)
         assert np.all(s.coeffs != 0.0)
         want: dict[str, float] = {}
@@ -91,6 +93,26 @@ class TestStructure:
         assert dict(zip(s.labels(), s.coeffs.tolist())) == {
             k: v for k, v in want.items() if v != 0.0
         }
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lookups_and_npz_load_on_wide_words(self, data):
+        # qubits past bit 7 of a word, where native and keyed row orders differ
+        n = data.draw(st.sampled_from([20, 70, 130]))
+        labels = data.draw(st.lists(_labels(n), min_size=2, max_size=12, unique=True))
+        s = PauliSum.from_terms(n, [(label, 1.0 + i) for i, label in enumerate(labels)])
+        for p, c in s.terms():
+            assert p in s and s.coefficient_of(p) == c
+        other = PauliString.from_label(data.draw(_labels(n)), n)
+        if other.nu_words().tobytes() not in {row.tobytes() for row in s.bits}:
+            assert other not in s and s.coefficient_of(other) == 0.0
+
+        buf = io.BytesIO()
+        np.savez_compressed(buf, n=n, bits=s.bits[::-1], coeffs=s.coeffs[::-1])
+        buf.seek(0)
+        back = PauliSum.from_npz(buf)
+        assert back.bits.tobytes() == s.bits.tobytes()
+        assert back.coeffs.tobytes() == s.coeffs.tobytes()
 
     def test_contains_and_string_at(self):
         s = _sum_from(4, [("Y2*Z3", 0.25)])
