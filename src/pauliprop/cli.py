@@ -16,9 +16,9 @@ its trace, summary (with the partial state's value as ``partial_expectation``)
 and snapshots.  ``estimate`` exits 4 when the budget leaves fewer than two
 probes.  ``converge`` exits 4, after writing its artifacts, when no step
 completes; a budget stop after a completed step is the ``budget_exhausted``
-status and exits 0.  A row-cap stop in ``estimate`` or ``converge`` (the
-default cap) exits 3 and writes no report.  Every stop at a limit writes the
-manifest, with ``aborted`` naming the limit.
+status and exits 0.  A row-cap stop in ``estimate`` or ``converge`` (at
+``--max-rows``) exits 3 and writes no report.  Every stop at a limit writes
+the manifest, with ``aborted`` naming the limit.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import json
 import math
 import os
 import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -133,6 +134,10 @@ class _Manifest:
 
     def timing(self, key: str, value) -> None:
         self.payload["timings"][key] = value
+
+    def note(self, **fields) -> None:
+        """Top-level fields that explain a run; never part of the deterministic artifacts."""
+        self.payload.update(fields)
 
     def write(
         self, out_dir: Path, name: str = "manifest.json", aborted: Aborted | None = None
@@ -272,6 +277,13 @@ def cmd_run(args) -> int:
     summary = trace.summary(expectation=value)
     _write_json(manifest.add(out / "summary.json"), summary)
     manifest.timing("evolve_s", wall)
+    # work and memory: deterministic counts, then the process's resident peak
+    manifest.note(
+        row_gates=sum(g.n_before for g in trace.gates),
+        peak_state_bytes=trace.n_max * (8 * observable.width + 8),
+        ru_maxrss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        absorbed_quarter_turns=trace.absorbed,
+    )
     _write_snapshots(trace, out, manifest, args.delta)
     manifest.write(out, aborted=aborted)
     if aborted is not None:
@@ -302,7 +314,7 @@ def cmd_estimate(args) -> int:
     try:
         series = run_probes(
             circuit, observable, delta_0=args.delta0, ratio=args.ratio,
-            count=args.count, budget_s=args.budget,
+            count=args.count, budget_s=args.budget, row_cap=args.max_rows,
         )
     except Aborted as exc:
         manifest.write(out, aborted=exc)
@@ -340,7 +352,7 @@ def cmd_converge(args) -> int:
         cumulative_budget_s=args.cumulative_budget,
     )
     try:
-        report = run_protocol(circuit, observable, config)
+        report = run_protocol(circuit, observable, config, row_cap=args.max_rows)
     except Aborted as exc:  # a row-cap stop; a budget stop is the report's status
         manifest.write(out, aborted=exc)
         raise
@@ -506,6 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--targets", required=True, help="comma-separated target deltas")
     est.add_argument("--tail-points", type=int, default=4)
     est.add_argument("--budget", type=float, default=None)
+    est.add_argument("--max-rows", type=int, default=None)
     est.set_defaults(func=cmd_estimate)
 
     conv = sub.add_parser("converge", parents=[inputs], help="apparent-convergence protocol")
@@ -516,6 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--t-cpu", type=float, default=600.0, help="per-step budget (s)")
     conv.add_argument("--max-steps", type=int, default=40)
     conv.add_argument("--cumulative-budget", type=float, default=None)
+    conv.add_argument("--max-rows", type=int, default=None)
     conv.set_defaults(func=cmd_converge)
 
     ana = sub.add_parser("analyze", help="histograms, exponent fits, spikes, s(theta) sweeps")

@@ -167,14 +167,17 @@ def _finish(report: ConvergenceReport) -> ConvergenceReport:
     return report
 
 
-def run_protocol(circuit: Circuit, observable: PauliSum, config: ConvergenceConfig) -> ConvergenceReport:
+def run_protocol(
+    circuit: Circuit, observable: PauliSum, config: ConvergenceConfig, row_cap: int | None = None
+) -> ConvergenceReport:
     """Run estimates at shrinking thresholds until convergence or budget.
 
     Stop rules: (a) the trailing ell estimates span at most eps_tol
     (apparently converged); (b) the most recent runtime exceeds t_cpu_s
     (budget exhausted; a single run is also cut off at the budget and
-    recorded without an estimate); (c) max_steps reached.  A row-cap stop
-    raises RowCapExceeded and returns no report.
+    recorded without an estimate); (c) max_steps reached.  A run past
+    ``row_cap`` rows raises RowCapExceeded and returns no report; the cap is
+    not part of the config, so it stays out of the report.
     """
     report = ConvergenceReport(config=config)
     started = time.monotonic()
@@ -189,7 +192,7 @@ def run_protocol(circuit: Circuit, observable: PauliSum, config: ConvergenceConf
             step_budget = min(step_budget, remaining)
         t0 = time.monotonic()
         try:
-            final, trace = evolve(circuit, observable, delta_n, budget_s=step_budget)
+            final, trace = evolve(circuit, observable, delta_n, budget_s=step_budget, row_cap=row_cap)
         except BudgetExceeded as exc:
             report.aborted_step = {
                 "n": n,

@@ -9,14 +9,24 @@ update.  The coefficient threshold is applied to the observable once on
 entry and then once per gate; a gate that at most flips signs (no
 anti-commuting row, or a multiple of pi) skips it.
 
+Exact odd quarter turns (cos = 0) are Clifford maps: they only relabel rows
+and flip signs, and truncate nothing.  :func:`evolve` absorbs them into a
+Clifford frame (:mod:`pauliprop.frame`) instead of moving rows, and rotates
+every other gate about the framed generator; every state that leaves is
+unframed and sorted canonically.  An absorbed gate still scans the framed
+state once, so phi and eta are recorded as before, and it repeats the
+previous norm.  Until the first absorb there is no frame.
+
 Idle gates are skipped without touching a row.  :func:`evolve` keeps a
-light cone: the OR of every row's words with the z and x halves swapped.
-A row can anti-commute with a generator only if it shares a bit with the
-generator's swapped form, so a generator that misses the cone has no
-anti-commuting row, and its gate is recorded with phi = eta = 0 and the
-previous norm.  A gate adds only rows P ^ sigma, so after each active gate
-the cone takes in the swapped generator; truncation can leave the cone
-larger than the state, never smaller.
+light cone: the OR of every true row's words with the z and x halves
+swapped.  A row can anti-commute with a generator only if it shares a bit
+with the generator's swapped form, so a generator that misses the cone has
+no anti-commuting row, and its gate is recorded with phi = eta = 0 and the
+previous norm.  A gate adds only rows P ^ sigma, so after each active gate,
+absorbed or not, the cone takes in the swapped generator; truncation can
+leave the cone larger than the state, never smaller.  The cone and its test
+use the unframed generator, so a generator is framed only for gates that
+pass it.
 
 Rows are kept in canonical packed order throughout, which makes every run
 bit-identical.  Each gate is composed from vectorized numpy pieces over the
@@ -116,6 +126,7 @@ class TraceLog:
     snapshots: dict[int, PauliSum] = field(default_factory=dict)
     peak_snapshot: tuple[int, PauliSum] | None = None
     aborted: str | None = None
+    absorbed: int = 0  # exact quarter turns absorbed into the Clifford frame
 
     @property
     def n_max(self) -> int:
@@ -194,13 +205,21 @@ class TraceLog:
 
 
 class _Generator(NamedTuple):
-    """A gate generator prepared once per unique PauliString."""
+    """A gate generator prepared once per unique PauliString.
+
+    A framed generator (:meth:`pauliprop.frame.Frame.framed`) replaces the
+    first three fields and keeps the rest, which describe the gate's own
+    generator: the light cone and the frame's tableau are indexed in true
+    coordinates.
+    """
 
     words: np.ndarray
     canon: int
     orientation: float
     mask: int  # the words as one int, for the light-cone test
     cross_mask: int  # the words with z and x halves swapped, as one int
+    rows: tuple[int, ...]  # tableau rows of its letters: Z_q at q, then X_q at n + q
+    anti_rows: tuple[int, ...]  # tableau rows of the generators it anti-commutes with
 
 
 def _rows(bits):
@@ -215,6 +234,17 @@ def _take(bits, index):
 
 def _as_int(words: np.ndarray) -> int:
     return int.from_bytes(np.ascontiguousarray(words, dtype="<u8").tobytes(), "little")
+
+
+def _qubits(words) -> list[int]:
+    """The qubits whose bit is set in one half, given as native words."""
+    out = []
+    for i, word in enumerate(words):
+        while word:
+            low = word & -word
+            out.append(64 * i + low.bit_length() - 1)
+            word ^= low
+    return out
 
 
 def _swap_halves(words: np.ndarray) -> np.ndarray:
@@ -241,7 +271,23 @@ def _prepare_generator(sigma: PauliString, n: int) -> _Generator:
         raise PauliError(
             f"generator {sigma!r} is not Hermitian (phase offset {diff}); cannot rotate about it"
         )
-    return _Generator(words, canon, orientation, _as_int(words), _as_int(_swap_halves(words)))
+    z, x = _qubits(sigma.z), _qubits(sigma.x)
+    return _Generator(
+        words, canon, orientation, _as_int(words), _as_int(_swap_halves(words)),
+        rows=tuple(z + [n + q for q in x]), anti_rows=tuple(x + [n + q for q in z]),
+    )
+
+
+def _true_state(n, bits, coeffs, frame, owned=False) -> PauliSum:
+    """The state as a PauliSum: unframed and sorted, or only swapped back with no frame.
+
+    ``owned`` arrays are overwritten instead of copied.
+    """
+    if frame is not None:
+        bits, coeffs = frame.unframe(bits, coeffs, owned)
+    elif not owned:
+        bits, coeffs = bits.copy(), coeffs.copy()
+    return PauliSum(n, bits.byteswap(inplace=True), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +333,20 @@ def _scan(bits, words):
     return anti_idx, anti_bits, pos
 
 
+def _fold(angle):
+    """(cos, sin) of angle = q*(pi/2) + residual, |residual| <= pi/4, as one rotation.
+
+    The quarter-turn factors are 0 or +-1, so composing is exact, and cos is
+    exactly 0.0 for an exact odd quarter turn and only then.  Negating the
+    angle negates sin and leaves cos unchanged, bit for bit.
+    """
+    q = round(angle / _HALF_PI)
+    residual = angle - q * _HALF_PI
+    cq, sq = _QUARTER_TURNS[q % 4]
+    cos_r, sin_r = math.cos(residual), math.sin(residual)
+    return cq * cos_r - sq * sin_r, sq * cos_r + cq * sin_r
+
+
 def _gate(bits, coeffs, prep, theta, delta, row_cap):
     """One gate on canonically sorted arrays whose rows all pass the threshold.
 
@@ -303,15 +363,7 @@ def _gate(bits, coeffs, prep, theta, delta, row_cap):
     n_paired = int(np.count_nonzero(paired))
     phi, eta = n_anti / n_rows, n_paired / n_rows
 
-    # theta = q*(pi/2) + residual with |residual| <= pi/4, applied as one
-    # rotation: the quarter-turn factors are 0 or +-1, so composing is exact
-    angle = orientation * theta
-    q = round(angle / _HALF_PI)
-    residual = angle - q * _HALF_PI
-    cq, sq = _QUARTER_TURNS[q % 4]
-    cos_r, sin_r = math.cos(residual), math.sin(residual)
-    cos_t = cq * cos_r - sq * sin_r
-    sin_t = sq * cos_r + cq * sin_r
+    cos_t, sin_t = _fold(orientation * theta)
     if sin_t == 0.0:  # a multiple of pi: identity or a sign flip
         if cos_t < 0.0:
             coeffs[anti_idx] *= cos_t
@@ -430,37 +482,56 @@ def evolve(
     bits, coeffs, _ = _threshold(observable.bits.byteswap(), observable.coeffs.copy(), delta)
     norm = math.sqrt(pairwise_dot(coeffs, coeffs))
     cone = _as_int(_swap_halves(np.bitwise_or.reduce(bits, axis=0)))
+    frame = None  # made at the first absorbed quarter turn
 
     gates = trace.gates
-    peak = -1
+    peak_rows, peak = -1, None  # the peak snapshot, kept framed until it leaves
     t0 = time.monotonic()
     deadline = None if budget_s is None else t0 + budget_s
 
+    def settle_peak():
+        if peak is not None:
+            k_peak, peak_bits, peak_coeffs, peak_frame = peak
+            trace.peak_snapshot = (k_peak, _true_state(n, peak_bits, peak_coeffs, peak_frame, True))
+
+    def stop(error, message):
+        trace.aborted = error.reason
+        settle_peak()
+        return error(message, trace=trace, partial=_true_state(n, bits, coeffs, frame))
+
     for k, (sigma, theta) in enumerate(circuit.gates, start=1):
         if deadline is not None and time.monotonic() > deadline:
-            trace.aborted = BudgetExceeded.reason
-            raise BudgetExceeded(
-                f"budget {budget_s}s exhausted at gate {k}/{len(circuit.gates)}",
-                trace=trace,
-                partial=PauliSum(n, bits.byteswap(), coeffs),
-            )
+            raise stop(BudgetExceeded, f"budget {budget_s}s exhausted at gate {k}/{len(preps)}")
         gate_start = time.perf_counter_ns()
         n_before = len(coeffs)
         prep = preps[k - 1]
-        if cone & prep.mask:
-            bits, coeffs, phi, eta, truncated, capped = _gate(bits, coeffs, prep, theta, delta, cap)
-            if capped:
-                trace.aborted = RowCapExceeded.reason
-                raise RowCapExceeded(
-                    f"row cap {cap} exceeded at gate {k}/{len(circuit.gates)}",
-                    trace=trace,
-                    partial=PauliSum(n, bits.byteswap(), coeffs),
+        phi, eta, truncated = 0.0, 0.0, 0
+        if cone & prep.mask:  # else outside the light cone: no row anti-commutes
+            framed = prep if frame is None else _Generator(*frame.framed(prep), *prep[3:])
+            cos_t, sin_t = _fold(prep.orientation * theta)
+            if cos_t == 0.0:  # an exact odd quarter turn: absorbed, so no row moves
+                anti_idx, _, pos = _scan(bits, framed.words)
+                if len(anti_idx):
+                    phi = len(anti_idx) / n_before
+                    eta = int(np.count_nonzero(pos >= 0)) / n_before
+                capped = phi > 0.0 and n_before > cap  # as _gate counts it
+            else:
+                bits, coeffs, phi, eta, truncated, capped = _gate(
+                    bits, coeffs, framed, theta, delta, cap
                 )
-            if phi > 0.0:  # with phi = 0 no coefficient changed
+            if capped:
+                raise stop(RowCapExceeded, f"row cap {cap} exceeded at gate {k}/{len(preps)}")
+            if phi > 0.0:  # with phi = 0 nothing changed
                 cone |= prep.cross_mask
-                norm = math.sqrt(pairwise_dot(coeffs, coeffs))
-        else:  # outside the light cone: no row anti-commutes
-            phi, eta, truncated = 0.0, 0.0, 0
+                if cos_t != 0.0:
+                    norm = math.sqrt(pairwise_dot(coeffs, coeffs))
+                else:  # rows relabelled with flipped signs keep the norm
+                    if frame is None:  # a run without quarter turns never loads the frame
+                        from .frame import Frame
+
+                        frame = Frame(n)
+                    frame.absorb(prep, sin_t)
+                    trace.absorbed += 1
         gates.append(
             GateStats(
                 k=k, theta=theta, phi=phi, eta=eta, n_before=n_before, n_after=len(coeffs),
@@ -470,13 +541,14 @@ def evolve(
         )
         if instrumented:
             if k in snap_at:
-                trace.snapshots[k] = PauliSum(n, bits.byteswap(), coeffs.copy())
-            if track_peak_snapshot and len(coeffs) > peak:
-                peak = len(coeffs)
-                trace.peak_snapshot = (k, PauliSum(n, bits.byteswap(), coeffs.copy()))
+                trace.snapshots[k] = _true_state(n, bits, coeffs, frame)
+            if track_peak_snapshot and len(coeffs) > peak_rows:
+                peak_rows = len(coeffs)
+                peak = (k, bits.copy(), coeffs.copy(), None if frame is None else frame.copy())
 
     trace.finalize()
-    return PauliSum(n, bits.byteswap(inplace=True), coeffs), trace
+    settle_peak()
+    return _true_state(n, bits, coeffs, frame, True), trace
 
 
 def expectation(s: PauliSum) -> float:

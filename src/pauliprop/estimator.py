@@ -145,12 +145,14 @@ def run_probes(
     ratio: float = DEFAULT_RATIO,
     count: int = 3,
     budget_s: float | None = None,
+    row_cap: int | None = None,
 ) -> ProbeSeries:
     """Evolve at delta_i = ratio^i * delta_0 for i = 0..count-1.
 
     Stops early when the wall budget runs out.  Fewer than two completed
     probes raises BudgetExceeded when the budget cut the series short, and
-    EstimationImpossible otherwise.
+    EstimationImpossible otherwise.  A probe past ``row_cap`` rows raises
+    RowCapExceeded.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -171,7 +173,7 @@ def run_probes(
                 break
         t0 = time.monotonic()
         try:
-            final, trace = evolve(circuit, observable, delta_i, budget_s=remaining)
+            final, trace = evolve(circuit, observable, delta_i, budget_s=remaining, row_cap=row_cap)
         except BudgetExceeded:
             series.budget_exhausted = True
             break

@@ -13,7 +13,6 @@ import pytest
 import scipy
 
 import pauliprop
-from pauliprop import engine
 from pauliprop.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -204,6 +203,26 @@ class TestRun:
         actual = {str(p) for p in out_dir.iterdir()}
         assert actual == listed
 
+    def test_manifest_work_fields(self, small_circuit, tmp_path):
+        out_dir = tmp_path / "run"
+        code = main([
+            "run", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--delta", "1e-3", "--out-dir", str(out_dir),
+        ])
+        assert code == EXIT_OK
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        summary = json.loads((out_dir / "summary.json").read_text())
+        with open(out_dir / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert manifest["row_gates"] == sum(int(row["n_before"]) for row in rows)
+        # 6 qubits: one word per half, 16 bytes of words and 8 of coefficient a row
+        assert manifest["peak_state_bytes"] == 24 * summary["n_max"]
+        assert manifest["ru_maxrss_mib"] > 0
+        # every zz coupling is an exact quarter turn; the first acts on Z2
+        assert 0 < manifest["absorbed_quarter_turns"] < len(rows)
+        work = {"row_gates", "peak_state_bytes", "ru_maxrss_mib", "absorbed_quarter_turns"}
+        assert not work & set(summary)
+
     def test_manifest_environment(self, small_circuit, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -310,18 +329,29 @@ class TestConverge:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["status"] == "budget_exhausted" and len(report["steps"]) == 1
 
-    def test_row_cap_stop_writes_manifest(self, small_circuit, tmp_path, monkeypatch):
-        # converge takes no --max-rows: lower the default cap instead
-        monkeypatch.setattr(engine, "DEFAULT_ROW_CAP", 4)
+    def test_row_cap_stop_writes_manifest(self, small_circuit, tmp_path):
         out_dir = tmp_path / "conv"
         code = main([
             "converge", "--circuit", str(small_circuit), "--observable", "Z2",
-            "--out-dir", str(out_dir),
+            "--max-rows", "1", "--out-dir", str(out_dir),
         ])
         assert code == EXIT_RESOURCE
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["aborted"] == "row_cap" and manifest["command"] == "converge"
+        assert manifest["config"]["max_rows"] == 1
         assert not (out_dir / "report.json").exists()
+
+    def test_row_cap_stays_out_of_report(self, small_circuit, tmp_path):
+        reports = []
+        for cap in ([], ["--max-rows", "1000000"]):
+            out_dir = tmp_path / f"conv{len(cap)}"
+            code = main([
+                "converge", "--circuit", str(small_circuit), "--observable", "Z2",
+                "--max-steps", "3", "--out-dir", str(out_dir), *cap,
+            ])
+            assert code == EXIT_OK
+            reports.append((out_dir / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestEstimate:
@@ -358,15 +388,16 @@ class TestEstimate:
         assert manifest["aborted"] == "budget" and manifest["command"] == "estimate"
         assert manifest["artifacts"] == [str(out_dir / "manifest.json")]
 
-    def test_row_cap_stop_leaves_manifest(self, small_circuit, tmp_path, monkeypatch):
-        monkeypatch.setattr(engine, "DEFAULT_ROW_CAP", 4)
+    def test_row_cap_stop_leaves_manifest(self, small_circuit, tmp_path):
         out_dir = tmp_path / "est"
         code = main([
             "estimate", "--circuit", str(small_circuit), "--observable", "Z2",
-            "--delta0", "0.05", "--targets", "0.001", "--out-dir", str(out_dir),
+            "--delta0", "0.05", "--targets", "0.001", "--max-rows", "1", "--out-dir", str(out_dir),
         ])
         assert code == EXIT_RESOURCE
-        assert json.loads((out_dir / "manifest.json").read_text())["aborted"] == "row_cap"
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["aborted"] == "row_cap" and manifest["config"]["max_rows"] == 1
+        assert not (out_dir / "prediction.json").exists()
 
     def test_one_probe_is_usage_error(self, small_circuit, tmp_path):
         code = main([

@@ -34,7 +34,7 @@ from pauliprop import (
     expectation,
     kicked_ising,
 )
-from pauliprop import engine, kernels
+from pauliprop import engine, frame, kernels
 from pauliprop.engine import GateStats
 from pauliprop.sums import pairwise_dot
 
@@ -352,7 +352,10 @@ def _golden_circuit():
 
 GOLDEN_SUMMARY = (435, 48, "0.09492838905354659")
 GOLDEN_STATE_SHA256 = "8c9e1de96a63e48837bbddab61c3b496e1e9c5373f3922e9e913e42d1009bc82"
-GOLDEN_TRACE_SHA256 = "feeaf9e6eaea764c9cf4e22dd3b79c80afc035acec538620f55186f9cf26da02"
+# every trace column but the norm, unchanged since the engine that moved rows
+# for quarter turns
+GOLDEN_TRACE_COLUMNS_SHA256 = "915d20bb47e76f6f3bd836e6187936012f8d375b0288cb24d09773c31b08b006"
+GOLDEN_TRACE_SHA256 = "7a999f2ae4290b60bed316d4197cae9823e77bcbbccbca54cb28270d6dc1a4a8"
 
 
 # (label, q, residual): the angle q*pi/2 + residual, an exact multiple of pi/2 when residual is 0
@@ -372,19 +375,22 @@ def _rotation_problems(draw):
 class TestSingleRotationPath:
     def test_golden_bits(self):
         # recorded from the engine that applied quarter turns as row
-        # relabellings; folding them into one rotation must change no
-        # coefficient bit, row or trace value.  The trace digest was
-        # re-recorded once when the norm column moved from a BLAS dot to
-        # numpy's pairwise sum; every other column hashed the same
+        # relabellings; folding them into one rotation, and absorbing them
+        # into a Clifford frame, must change no coefficient bit, row or trace
+        # value but the norm.  The full trace digest was re-recorded twice:
+        # when the norm moved from a BLAS dot to numpy's pairwise sum, and
+        # when it came to be summed in the frame's row order (6 of the 48
+        # norms moved by 1-2 ulp)
         obs = PauliSum.from_terms(6, [("Z2", 1.0), ("X0*Z1", 0.5), ("Y4", -0.25)])
         final, trace = evolve(_golden_circuit(), obs, 2.0**-8)
         state = hashlib.sha256(
             final.bits.astype("<u8").tobytes() + final.coeffs.astype("<f8").tobytes()
         ).hexdigest()
-        rows = [(g.k, g.phi, g.eta, g.n_before, g.n_after, g.truncated, g.norm_after)
-                for g in trace.gates]
+        columns = [(g.k, g.phi, g.eta, g.n_before, g.n_after, g.truncated) for g in trace.gates]
+        rows = [(*row, g.norm_after) for row, g in zip(columns, trace.gates)]
         assert (trace.n_max, trace.k_star, repr(expectation(final))) == GOLDEN_SUMMARY
         assert state == GOLDEN_STATE_SHA256
+        assert hashlib.sha256(repr(columns).encode()).hexdigest() == GOLDEN_TRACE_COLUMNS_SHA256
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == GOLDEN_TRACE_SHA256
 
     @settings(max_examples=60, deadline=None)
@@ -406,47 +412,69 @@ class TestSingleRotationPath:
                 assert g.truncated == 0 and g.n_after == g.n_before
 
 
-def _reference_evolve(circuit, observable, delta):
-    """evolve without the light cone: engine._gate on every gate, norm after every gate.
+def _reference_evolve(circuit, observable, delta, row_cap=engine.DEFAULT_ROW_CAP):
+    """evolve without the light cone or the frame: engine._gate on every gate.
 
-    The gate works on keyed rows, so the words are byte-swapped on the way in
-    and back on the way out, as evolve does.
+    Returns the state after each gate (index 0 is the entry state) in the
+    PauliSum layout, the trace rows without elapsed_ns, with the norm
+    recomputed after every gate, and whether the gate after the last row
+    hit the row cap.  The gate works on keyed rows, so the words are
+    byte-swapped on the way in and back on the way out, as evolve does.
     """
     bits, coeffs, _ = engine._threshold(observable.bits.byteswap(), observable.coeffs.copy(), delta)
-    rows = []
+    states, rows = [(bits.byteswap(), coeffs.copy())], []
     for k, (sigma, theta) in enumerate(circuit.gates, start=1):
         n_before = len(coeffs)
         prep = engine._prepare_generator(sigma, circuit.n)
         bits, coeffs, phi, eta, truncated, capped = engine._gate(
-            bits, coeffs, prep, theta, delta, engine.DEFAULT_ROW_CAP
+            bits, coeffs, prep, theta, delta, row_cap
         )
-        assert not capped
+        if capped:
+            return states, rows, True
         norm = math.sqrt(pairwise_dot(coeffs, coeffs))
         rows.append((k, theta, phi, eta, n_before, len(coeffs), truncated, norm))
-    return bits.byteswap(), coeffs, rows
+        states.append((bits.byteswap(), coeffs.copy()))
+    return states, rows, False
+
+
+# A norm is summed pairwise in the frame's row order, the reference's in the
+# true state's.  numpy's pairwise sum of at most 4^6 terms rounds at most 24
+# times on the way to any term, so the two sums of squares differ by at most
+# 48 eps relative, and the square root halves that: 24 eps, under 64 ulp
+NORM_ULPS = 64
+
+
+def _assert_trace_matches(trace, ref_rows):
+    """Every column but elapsed_ns bit for bit, except the norm: within NORM_ULPS."""
+    fields = [f.name for f in dataclasses.fields(GateStats)
+              if f.name not in ("norm_after", "elapsed_ns")]
+    assert repr([tuple(getattr(g, name) for name in fields) for g in trace.gates]) == \
+        repr([row[:-1] for row in ref_rows])
+    for g, row in zip(trace.gates, ref_rows):
+        assert abs(g.norm_after - row[-1]) <= NORM_ULPS * math.ulp(row[-1]), g.k
+
+
+def _assert_state(s, want):
+    bits, coeffs = want
+    assert s.bits.tobytes() == bits.tobytes()
+    assert s.coeffs.tobytes() == coeffs.tobytes()
 
 
 def _evolve_recording_scans(circuit, observable, delta):
-    """evolve, plus the 1-based indices of the gates it handed to _gate.
+    """evolve, plus the 1-based indices of the gates that scanned the state."""
+    real_trace_log, real_scan = engine.TraceLog, engine._scan
+    traces, scanned = [], set()
 
-    Every gate of the circuit must carry its own PauliString object, so
-    each gets its own prepared generator.
-    """
-    real_prepare, real_gate = engine._prepare_generator, engine._gate
-    preps, scanned = [], set()
+    def trace_log(*args, **kwargs):
+        traces.append(real_trace_log(*args, **kwargs))
+        return traces[-1]
 
-    def prepare(sigma, n):
-        preps.append(real_prepare(sigma, n))
-        return preps[-1]
+    def scan(*args):
+        scanned.add(len(traces[-1].gates) + 1)
+        return real_scan(*args)
 
-    def gate(bits, coeffs, prep, *rest):
-        scanned.add(1 + next(i for i, p in enumerate(preps) if p is prep))
-        return real_gate(bits, coeffs, prep, *rest)
-
-    with mock.patch.object(engine, "_prepare_generator", prepare), \
-            mock.patch.object(engine, "_gate", gate):
+    with mock.patch.object(engine, "TraceLog", trace_log), mock.patch.object(engine, "_scan", scan):
         final, trace = evolve(circuit, observable, delta)
-    assert len(preps) == len(circuit.gates)
     return final, trace, scanned
 
 
@@ -469,14 +497,11 @@ class TestLightCone:
         n, gates, terms, delta = problem
         circuit = _circuit(n, [(label, q * (math.pi / 2) + r) for label, q, r in gates])
         observable = PauliSum.from_terms(n, terms)
-        ref_bits, ref_coeffs, ref_rows = _reference_evolve(circuit, observable, delta)
+        states, ref_rows, _ = _reference_evolve(circuit, observable, delta)
         final, trace, scanned = _evolve_recording_scans(circuit, observable, delta)
 
-        assert final.bits.tobytes() == ref_bits.tobytes()
-        assert final.coeffs.tobytes() == ref_coeffs.tobytes()
-        fields = [f.name for f in dataclasses.fields(GateStats) if f.name != "elapsed_ns"]
-        rows = [tuple(getattr(g, name) for name in fields) for g in trace.gates]
-        assert repr(rows) == repr(ref_rows)
+        _assert_state(final, states[-1])
+        _assert_trace_matches(trace, ref_rows)
         for k, _theta, phi, *_ in ref_rows:
             if k not in scanned:
                 assert phi == 0.0
@@ -490,6 +515,135 @@ class TestLightCone:
         assert [g.phi for g in trace.gates] == [0.0, 1.0, 0.0, 0.0]
         norms = [g.norm_after for g in trace.gates]
         assert norms == [1.0, norms[1], norms[1], norms[1]]
+
+
+@st.composite
+def _frame_problems(draw):
+    """Up to 6 qubits: exact quarter and half turns among other angles, some
+    generators negated, a row cap and a wall budget in gates."""
+    n = draw(st.integers(1, 6))
+    label = st.text(st.sampled_from("IIXYZ"), min_size=n, max_size=n)
+    gates = draw(st.lists(st.tuples(label, st.booleans(), st.integers(-4, 4), _residuals),
+                          min_size=1, max_size=16))
+    terms = draw(st.dictionaries(label, st.floats(0.05, 1.0) | st.floats(-1.0, -0.05),
+                                 min_size=1, max_size=6))
+    delta = draw(st.sampled_from([0.0, 0.05]))
+    row_cap = draw(st.integers(1, 48))
+    budget = draw(st.floats(0.5, len(gates) + 0.5))
+    map_rows = draw(st.sampled_from([3, frame._MAP_ROWS]))
+    return n, gates, sorted(terms.items()), delta, row_cap, budget, map_rows
+
+
+def _signed_circuit(n, gates):
+    out = []
+    for label, negated, q, r in gates:
+        p = PauliString.from_label(label)
+        sigma = PauliString(n=n, z=p.z, x=p.x, alpha=p.alpha + 2 * negated)
+        out.append((sigma, q * (math.pi / 2) + r))
+    return Circuit(n=n, gates=tuple(out))
+
+
+class TestCliffordFrame:
+    @settings(max_examples=150, deadline=None)
+    @given(_frame_problems())
+    def test_every_way_out_matches_unframed_gates(self, problem):
+        n, gates, terms, delta, row_cap, budget, map_rows = problem
+        with mock.patch.object(frame, "_MAP_ROWS", map_rows):
+            self._check_every_way_out(n, gates, terms, delta, row_cap, budget)
+
+    @staticmethod
+    def _check_every_way_out(n, gates, terms, delta, row_cap, budget):
+        circuit = _signed_circuit(n, gates)
+        observable = PauliSum.from_terms(n, terms)
+        states, ref_rows, _ = _reference_evolve(circuit, observable, delta)
+
+        every = range(1, len(gates) + 1)
+        final, trace = evolve(circuit, observable, delta, snapshot_gates=every,
+                              track_peak_snapshot=True)
+        _assert_state(final, states[-1])
+        _assert_trace_matches(trace, ref_rows)
+        assert set(trace.snapshots) == set(every)
+        for k, snap in trace.snapshots.items():
+            _assert_state(snap, states[k])
+        k_peak, peak = trace.peak_snapshot
+        assert k_peak == trace.k_star
+        _assert_state(peak, states[k_peak])
+
+        capped_states, capped_rows, capped = _reference_evolve(circuit, observable, delta, row_cap)
+        if capped:
+            with pytest.raises(RowCapExceeded) as err:
+                evolve(circuit, observable, delta, row_cap=row_cap)
+            _assert_trace_matches(err.value.trace, capped_rows)
+            _assert_state(err.value.partial, capped_states[-1])
+        else:
+            evolve(circuit, observable, delta, row_cap=row_cap)
+
+        # a clock that advances 1 s a reading (gate k reads k) stops at the
+        # first gate past the budget
+        ticks = itertools.count()
+        clock = mock.Mock(monotonic=lambda: float(next(ticks)), perf_counter_ns=lambda: 0)
+        with mock.patch.object(engine, "time", clock):
+            if budget < len(gates):
+                with pytest.raises(BudgetExceeded) as err:
+                    evolve(circuit, observable, delta, budget_s=budget)
+                done = len(err.value.trace.gates)
+                assert done == math.floor(budget)
+                _assert_state(err.value.partial, states[done])
+            else:
+                evolve(circuit, observable, delta, budget_s=budget)
+
+    def test_quarter_turns_move_no_row(self):
+        obs = PauliSum.from_terms(4, [("Z1", 1.0), ("X0*Z3", 0.5)])
+        circuit = _circuit(4, [("Z0*Z1", -math.pi / 2), ("X1", math.pi / 2),
+                               ("Y2*Z3", 3 * math.pi / 2), ("Z1*Z2", -math.pi / 2),
+                               ("X3", -math.pi / 2)])
+        with mock.patch.object(engine, "_gate") as gate:
+            final, trace = evolve(circuit, obs, 0.0)
+        gate.assert_not_called()
+        assert trace.absorbed == sum(g.phi > 0.0 for g in trace.gates) > 0
+        states, ref_rows, _ = _reference_evolve(circuit, obs, 0.0)
+        _assert_state(final, states[-1])
+        _assert_trace_matches(trace, ref_rows)
+
+    def test_no_frame_before_the_first_absorb(self):
+        # residual angles and exact half turns: nothing to absorb, so no frame
+        # is made, even with snapshots and a peak snapshot to unframe
+        obs = PauliSum.from_terms(3, [("Z1", 1.0)])
+        circuit = _circuit(3, [("X1", 0.3), ("Z1*Z2", math.pi), ("Y0*Y1", -0.7),
+                               ("X2", 2 * math.pi)])
+        with mock.patch.object(frame, "Frame") as made:
+            final, trace = evolve(circuit, obs, 0.0, snapshot_gates=(2,), track_peak_snapshot=True)
+        made.assert_not_called()
+        assert trace.absorbed == 0
+        states, ref_rows, _ = _reference_evolve(circuit, obs, 0.0)
+        _assert_state(final, states[-1])
+        _assert_state(trace.snapshots[2], states[2])
+
+    @pytest.mark.parametrize("n", [70, 130])  # 2 and 3 words per half
+    def test_round_trip(self, n, monkeypatch):
+        """Φ(Φ⁻¹(P)) = P for a frame of random quarter turns on qubits in every word."""
+        monkeypatch.setattr(frame, "_MAP_ROWS", 16)  # several blocks
+        rng = np.random.default_rng(n)
+        clifford = frame.Frame(n)
+
+        def random_string(weight):
+            qubits = rng.choice(n, size=weight, replace=False)
+            label = "*".join(f"{rng.choice(list('XYZ'))}{q}" for q in qubits)
+            p = PauliString.from_label(label, n)
+            return PauliString(n=n, z=p.z, x=p.x, alpha=p.alpha + 2 * int(rng.integers(2)))
+
+        for _ in range(400):
+            prep = engine._prepare_generator(random_string(int(rng.integers(1, 4))), n)
+            clifford.absorb(prep, float(rng.choice([-1.0, 1.0])))
+        preps = [engine._prepare_generator(random_string(int(rng.integers(1, n))), n)
+                 for _ in range(60)]
+        framed = [clifford.framed(prep) for prep in preps]  # (words, canon, orientation)
+        assert sum(f[0].tobytes() != p.words.tobytes() for f, p in zip(framed, preps)) > 50
+        bits, coeffs = clifford.unframe(np.array([f[0] for f in framed]),
+                                        np.array([f[2] for f in framed]))
+        order = kernels.sort_order(np.array([p.words for p in preps]))
+        assert bits.tobytes() == np.array([preps[i].words for i in order]).tobytes()
+        assert coeffs.tolist() == [preps[i].orientation for i in order]
 
 
 def _layout_circuit(n):
