@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .engine import TraceLog, _prepare_generator, _scan
 from .estimator import _ols
@@ -43,6 +42,10 @@ __all__ = [
 ]
 
 DEFAULT_SPIKE_THRESHOLD = 0.2
+# absolute quadrature tolerances: the convolution density at |t| <= delta,
+# and the chasm mass s(theta)
+_DENSITY_EPSABS = 1e-9
+_CHASM_EPSABS = 1e-12
 
 
 class SingularityError(ValueError):
@@ -115,8 +118,6 @@ class CoefficientHistogram:
     edges: np.ndarray
     counts: np.ndarray
     total: int
-    gate_index: int | None = None
-    delta: float | None = None
 
     @property
     def densities(self) -> np.ndarray:
@@ -140,8 +141,6 @@ def histogram(
     bins: int = 2048,
     absolute: bool = False,
     delta_floor: float | None = None,
-    gate_index: int | None = None,
-    delta: float | None = None,
 ) -> CoefficientHistogram:
     """Histogram coefficients into uniform bins.
 
@@ -163,9 +162,7 @@ def histogram(
     if hi <= lo:
         hi = lo + max(1.0, abs(lo)) * 1e-12  # all-equal input: single populated bin
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-    return CoefficientHistogram(
-        edges=edges, counts=counts, total=int(values.size), gate_index=gate_index, delta=delta
-    )
+    return CoefficientHistogram(edges=edges, counts=counts, total=int(values.size))
 
 
 @dataclass
@@ -282,6 +279,9 @@ def _intersect_rays(neg_hi, pos_lo, b_neg_hi, b_pos_lo):
 
 
 def _quad_pieces(fn, pieces, epsabs):
+    # imported on first use, so the commands that never integrate skip its load time
+    from scipy.integrate import quad
+
     total = 0.0
     err = 0.0
     for a, b in pieces:
@@ -322,7 +322,7 @@ def _split_toward_ends(lo, hi, w_lo, w_hi):
     return list(zip(edges, edges[1:]))
 
 
-def convolution_density(model: PowerLawModel, theta: float, t: float, epsabs: float = 1e-9) -> float:
+def convolution_density(model: PowerLawModel, theta: float, t: float) -> float:
     """Density of cos(theta) * X + sin(theta) * Y at t, X and Y iid ~ rho.
 
     Numeric quadrature over the support intersection (both factors beyond
@@ -332,10 +332,9 @@ def convolution_density(model: PowerLawModel, theta: float, t: float, epsabs: fl
     integration variable (width delta) and where the co-factor reaches the
     cutoff (width delta * a / b, narrow for theta near 0 or pi/2).  Each
     finite piece is therefore cut at geometric steps away from both ends.
-    epsabs is the absolute tolerance at |t| <= delta; beyond that it is
-    scaled by rho(t) / rho(delta), so far in the tail, where rho(t) falls to
-    epsabs and below, the integral is still resolved to the same relative
-    accuracy.
+    The absolute tolerance, 1e-9 at |t| <= delta, is scaled beyond that by
+    rho(t) / rho(delta), so far in the tail, where rho(t) falls to 1e-9 and
+    below, the integral is still resolved to the same relative accuracy.
     """
     if not (0.0 < theta < math.pi / 2.0):
         raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
@@ -364,11 +363,11 @@ def convolution_density(model: PowerLawModel, theta: float, t: float, epsabs: fl
             pieces.extend(_split_toward_ends(lo, hi, w_lo, w_hi))
     if not pieces:
         return 0.0
-    tol = epsabs * (d / max(abs(t), d)) ** (model.m + 1.0)
+    tol = _DENSITY_EPSABS * (d / max(abs(t), d)) ** (model.m + 1.0)
     return _quad_pieces(integrand, pieces, tol)
 
 
-def s_theta(model: PowerLawModel, theta: float, epsabs: float = 1e-12) -> float:
+def s_theta(model: PowerLawModel, theta: float) -> float:
     """Merged-coefficient mass lost to the chasm: Pr(|X cos + Y sin| < delta).
 
     One quadrature level is removed analytically (the inner variable uses
@@ -397,12 +396,12 @@ def s_theta(model: PowerLawModel, theta: float, epsabs: float = 1e-12) -> float:
     points = [d] + kinks
     pieces = list(zip(points, points[1:])) + [(points[-1], math.inf)]
     # even integrand: integrate the positive half and double
-    return 2.0 * _quad_pieces(integrand, pieces, epsabs / 2.0)
+    return 2.0 * _quad_pieces(integrand, pieces, _CHASM_EPSABS / 2.0)
 
 
-def r_theta(model: PowerLawModel, theta: float, epsabs: float = 1e-12) -> float:
+def r_theta(model: PowerLawModel, theta: float) -> float:
     """Surviving fraction of merged rows: r = 1 - s."""
-    return 1.0 - s_theta(model, theta, epsabs=epsabs)
+    return 1.0 - s_theta(model, theta)
 
 
 def s_theta_sweep(model: PowerLawModel, thetas) -> list[dict]:
@@ -414,12 +413,7 @@ def s_theta_sweep(model: PowerLawModel, thetas) -> list[dict]:
 
 
 def predict_term_count_step(
-    n_terms: float,
-    phi: float,
-    eta: float,
-    theta: float,
-    model: PowerLawModel,
-    r_value: float | None = None,
+    n_terms: float, phi: float, eta: float, theta: float, model: PowerLawModel
 ) -> float:
     """One step of the term-count recurrence.
 
@@ -436,10 +430,7 @@ def predict_term_count_step(
     m = model.m
     p = math.cos(th) ** m
     q = math.sin(th) ** m
-    if eta > 0.0:
-        r = r_theta(model, th) if r_value is None else r_value
-    else:
-        r = 1.0
+    r = r_theta(model, th) if eta > 0.0 else 1.0
     return float(n_terms) * (1.0 - phi + (phi - eta) * (p + q) + eta * r)
 
 
@@ -480,13 +471,8 @@ def merge_pair_correlation(s: PauliSum, sigma: PauliString) -> float:
 # ---------------------------------------------------------------------------
 
 
-def evolve_density_grid(
-    model: PowerLawModel,
-    gate_params,
-    grid_points: int = 4096,
-    t_max: float = 1.0,
-):
-    """Evolve the coefficient density on a log grid over [delta, t_max].
+def evolve_density_grid(model: PowerLawModel, gate_params, grid_points: int = 4096):
+    """Evolve the coefficient density on a log grid over [delta, 1].
 
     ``gate_params`` is an iterable of (phi, eta, theta) per gate.  Returns
     (grid, density) where density is the symmetric density evaluated on the
@@ -494,7 +480,7 @@ def evolve_density_grid(
     comparison plots, no accuracy contract.
     """
     d = model.delta
-    grid = np.geomspace(d, t_max, grid_points)
+    grid = np.geomspace(d, 1.0, grid_points)
     rho = model.density(grid)
 
     def total_mass(vals):
@@ -516,8 +502,8 @@ def evolve_density_grid(
         if th == 0.0 or phi == 0.0:
             continue
         c, s = math.cos(th), math.sin(th)
-        p = tail_mass_from(rho, d / c) if d / c <= t_max else 0.0
-        q = tail_mass_from(rho, d / s) if d / s <= t_max else 0.0
+        p = tail_mass_from(rho, d / c) if d / c <= 1.0 else 0.0
+        q = tail_mass_from(rho, d / s) if d / s <= 1.0 else 0.0
         # self-convolution of the current grid density at each grid point,
         # folded to the positive axis
         conv = np.empty_like(rho)

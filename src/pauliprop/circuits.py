@@ -209,7 +209,9 @@ def kicked_ising(topology: Topology, T: int, theta_zz: float, theta_x_spec) -> C
     if isinstance(theta_x_spec, UniformRandomAngle):
         rng = Xoshiro256StarStar(theta_x_spec.seed)
     elif not isinstance(theta_x_spec, FixedAngle):
-        theta_x_spec = FixedAngle(float(theta_x_spec))
+        raise CircuitError(
+            f"theta_x_spec must be a FixedAngle or UniformRandomAngle, got {theta_x_spec!r}"
+        )
 
     zz_gens = [_zz(n, i, j) for i, j in topology.edges]
     x_gens = [_x(n, q) for q in range(n)]
@@ -249,13 +251,13 @@ def tfim_trotter_grid(
     t_total: float,
     dt: float,
     j_coupling: float = -1.0,
-    angle_scale: float = 2.0,
 ) -> Circuit:
     """First-order Trotterization of the transverse-field Ising model on an
     open-boundary grid.
 
-    Per step: RZZ(angle_scale * dt * j_coupling) on every grid edge, then
-    RX(angle_scale * dt * h) on every site.  dt must divide t_total.
+    Per step: RZZ(2 * dt * j_coupling) on every grid edge, then
+    RX(2 * dt * h) on every site (a rotation by theta is exp(-i theta P / 2)).
+    dt must divide t_total.
     """
     if dt <= 0:
         raise CircuitError(f"dt must be positive, got {dt}")
@@ -265,8 +267,7 @@ def tfim_trotter_grid(
         raise CircuitError(f"dt={dt} does not divide t_total={t_total} into whole steps")
     topo = Topology.grid(rows, cols)
     circuit = kicked_ising(
-        topo, T=steps, theta_zz=angle_scale * dt * j_coupling,
-        theta_x_spec=FixedAngle(angle_scale * dt * h),
+        topo, T=steps, theta_zz=2.0 * dt * j_coupling, theta_x_spec=FixedAngle(2.0 * dt * h),
     )
     return replace(circuit, metadata={
         "family": "tfim_grid",
@@ -276,7 +277,7 @@ def tfim_trotter_grid(
         "t_total": t_total,
         "dt": dt,
         "j_coupling": j_coupling,
-        "angle_scale": angle_scale,
+        "angle_scale": 2.0,
         "steps": steps,
         "edges": len(topo.edges),
         "gates_per_step": len(topo.edges) + topo.n,

@@ -6,6 +6,9 @@ timing-derived (wall times, runtime extrapolations) lives in the manifest
 or a timing sidecar, never inside the deterministic artifacts.
 
 Relative output paths resolve under $PAULIPROP_DATA_DIR when it is set.
+``run --snapshots steps`` snapshots the peak and the end of every Trotter
+step, at multiples of the circuit file's ``metadata.gates_per_step``;
+``--snapshots`` also takes comma-separated gate indices.
 ``--config FILE`` supplies defaults from a JSON object keyed by option
 name (underscores); explicit flags win over the config file, which wins
 over built-in defaults, and the manifest records the resolved values.
@@ -40,6 +43,7 @@ import scipy
 
 from . import __version__
 from .analysis import (
+    DEFAULT_SPIKE_THRESHOLD,
     MFitResult,
     PowerLawModel,
     QuadratureError,
@@ -249,24 +253,22 @@ def _write_snapshots(trace: TraceLog, out: Path, manifest: _Manifest, delta: flo
 def cmd_run(args) -> int:
     circuit, observable, out, manifest = _inputs(args, "run")
 
-    snapshot_gates: tuple[int, ...] = ()
-    snapshot_steps = False
-    track_peak = False
-    if args.snapshots:
-        if args.snapshots == "steps":
-            snapshot_steps = True
-            track_peak = True
-        else:
-            snapshot_gates = tuple(int(tok) for tok in args.snapshots.split(","))
+    snapshot_gates = ()
+    track_peak = args.snapshots == "steps"
+    if track_peak:  # the end of every Trotter step the circuit file records
+        per_step = int(circuit.metadata.get("gates_per_step", 0))
+        if per_step > 0:
+            snapshot_gates = range(per_step, len(circuit) + 1, per_step)
+    elif args.snapshots:
+        snapshot_gates = tuple(int(tok) for tok in args.snapshots.split(","))
 
     aborted = None
     t0 = time.monotonic()
     try:
         final, trace = evolve(
             circuit, observable, args.delta,
-            snapshot_gates=snapshot_gates, snapshot_steps=snapshot_steps,
-            track_peak_snapshot=track_peak, budget_s=args.budget,
-            row_cap=args.max_rows,
+            snapshot_gates=snapshot_gates, track_peak_snapshot=track_peak,
+            budget_s=args.budget, row_cap=args.max_rows,
         )
     except Aborted as exc:
         aborted, trace, final = exc, exc.trace, exc.partial
@@ -356,7 +358,7 @@ def cmd_converge(args) -> int:
     except Aborted as exc:  # a row-cap stop; a budget stop is the report's status
         manifest.write(out, aborted=exc)
         raise
-    _write_json(manifest.add(out / "report.json"), report.to_json_dict(include_timings=False))
+    _write_json(manifest.add(out / "report.json"), report.to_json_dict())
     _write_json(manifest.add(out / "timing.json"), report.timing_json_dict())
     _write_csv(
         manifest.add(out / "convergence.csv"), ["log10_inv_delta", "estimate", "runtime_s"],
@@ -403,7 +405,7 @@ def cmd_analyze(args) -> int:
         if args.histogram:
             hist = histogram(
                 snap.coeffs, bins=args.bins, absolute=args.absolute,
-                delta_floor=args.delta if args.absolute else None, delta=args.delta,
+                delta_floor=args.delta if args.absolute else None,
             )
             hist.to_csv(manifest.add(out / "histogram.csv"))
             did_anything = True
@@ -477,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--circuit", required=True)
     inputs.add_argument("--observable", required=True, help="Pauli label or observable JSON file")
     inputs.add_argument("--out-dir", required=True)
+    inputs.add_argument("--max-rows", type=int, default=None)
 
     gen = sub.add_parser("gen-circuit", help="generate a model-family circuit file")
     gen_sub = gen.add_subparsers(dest="family", required=True)
@@ -507,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--delta", type=float, required=True)
     run_p.add_argument("--snapshots", default=None, help="'steps' or comma-separated gate indices")
     run_p.add_argument("--budget", type=float, default=None, help="wall-clock budget (s)")
-    run_p.add_argument("--max-rows", type=int, default=None)
     run_p.set_defaults(func=cmd_run)
 
     est = sub.add_parser("estimate", parents=[inputs],
@@ -518,18 +520,17 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--targets", required=True, help="comma-separated target deltas")
     est.add_argument("--tail-points", type=int, default=4)
     est.add_argument("--budget", type=float, default=None)
-    est.add_argument("--max-rows", type=int, default=None)
     est.set_defaults(func=cmd_estimate)
 
     conv = sub.add_parser("converge", parents=[inputs], help="apparent-convergence protocol")
-    conv.add_argument("--delta0", type=float, default=0.125)
-    conv.add_argument("--ratio", type=float, default=0.5)
-    conv.add_argument("--eps-tol", type=float, default=1e-2)
-    conv.add_argument("--ell", type=int, default=3)
-    conv.add_argument("--t-cpu", type=float, default=600.0, help="per-step budget (s)")
-    conv.add_argument("--max-steps", type=int, default=40)
-    conv.add_argument("--cumulative-budget", type=float, default=None)
-    conv.add_argument("--max-rows", type=int, default=None)
+    protocol = ConvergenceConfig()
+    conv.add_argument("--delta0", type=float, default=protocol.delta_0)
+    conv.add_argument("--ratio", type=float, default=protocol.ratio)
+    conv.add_argument("--eps-tol", type=float, default=protocol.eps_tol)
+    conv.add_argument("--ell", type=int, default=protocol.ell)
+    conv.add_argument("--t-cpu", type=float, default=protocol.t_cpu_s, help="per-step budget (s)")
+    conv.add_argument("--max-steps", type=int, default=protocol.max_steps)
+    conv.add_argument("--cumulative-budget", type=float, default=protocol.cumulative_budget_s)
     conv.set_defaults(func=cmd_converge)
 
     ana = sub.add_parser("analyze", help="histograms, exponent fits, spikes, s(theta) sweeps")
@@ -545,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--l", type=float, default=1.0)
     ana.add_argument("--delta", type=float, default=None)
     ana.add_argument("--spikes", action="store_true")
-    ana.add_argument("--threshold", type=float, default=0.2)
+    ana.add_argument("--threshold", type=float, default=DEFAULT_SPIKE_THRESHOLD)
     ana.add_argument("--s-theta", action="store_true")
     ana.add_argument("--m", type=float, default=None)
     ana.add_argument("--theta-min", type=float, default=0.05)

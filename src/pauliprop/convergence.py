@@ -10,7 +10,7 @@ unconverged problem still yields a guiding range and a cost forecast.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .circuits import Circuit
 from .engine import BudgetExceeded, evolve, expectation
@@ -64,15 +64,7 @@ class ConvergenceConfig:
         return (self.ratio**n) * self.delta_0
 
     def to_json_dict(self) -> dict:
-        return {
-            "delta_0": self.delta_0,
-            "ratio": self.ratio,
-            "eps_tol": self.eps_tol,
-            "ell": self.ell,
-            "t_cpu_s": self.t_cpu_s,
-            "max_steps": self.max_steps,
-            "cumulative_budget_s": self.cumulative_budget_s,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -99,28 +91,22 @@ class ConvergenceReport:
     def estimates(self) -> list[float]:
         return [s.estimate for s in self.steps]
 
-    def to_json_dict(self, include_timings: bool = True) -> dict:
-        """Report payload; timings are optional so the deterministic core
-        can be written byte-stably (runtimes vary between executions)."""
-        steps = []
-        for s in self.steps:
-            row = {"n": s.n, "delta": s.delta, "estimate": s.estimate, "n_max": s.n_max}
-            if include_timings:
-                row["runtime_s"] = s.runtime_s
-            steps.append(row)
+    def to_json_dict(self) -> dict:
+        """The deterministic report, written byte-stably: runtimes, which vary
+        between executions, are in :meth:`timing_json_dict` instead."""
         out = {
             "config": self.config.to_json_dict(),
-            "steps": steps,
+            "steps": [
+                {"n": s.n, "delta": s.delta, "estimate": s.estimate, "n_max": s.n_max}
+                for s in self.steps
+            ],
             "status": self.status,
             "final_estimate": self.final_estimate,
             "window": self.window,
             "estimate_range": list(self.estimate_range) if self.estimate_range else None,
             "local_minimum_risk": self.local_minimum_risk,
         }
-        if include_timings:
-            out["extrapolated_runtime_s"] = self.extrapolated_runtime_s
-            out["aborted_step"] = self.aborted_step
-        elif self.aborted_step is not None:
+        if self.aborted_step is not None:
             out["aborted_step"] = {
                 k: v for k, v in self.aborted_step.items() if k != "runtime_s"
             }

@@ -168,8 +168,9 @@ class TraceLog:
                 )
 
     @classmethod
-    def from_csv(cls, path, n: int = 0, delta: float = 0.0, initial_norm: float = 1.0) -> "TraceLog":
-        out = cls(n=n, delta=delta, initial_norm=initial_norm)
+    def from_csv(cls, path) -> "TraceLog":
+        """The per-gate rows of a trace CSV; n, delta and the initial norm are not in it."""
+        out = cls(n=0, delta=0.0, initial_norm=1.0)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
@@ -428,20 +429,18 @@ def evolve(
     observable: PauliSum,
     delta: float,
     snapshot_gates=(),
-    snapshot_steps: bool = False,
     track_peak_snapshot: bool = False,
     budget_s: float | None = None,
     row_cap: int | None = None,
 ) -> tuple[PauliSum, TraceLog]:
     """Propagate the observable through the whole circuit (Heisenberg order).
 
+    Only the circuit's gates are read, never its metadata.
+
     Parameters
     ----------
     snapshot_gates : sequence of int
         1-based gate indices at which to store coefficient snapshots.
-    snapshot_steps : bool
-        Additionally snapshot at end-of-Trotter-step boundaries when the
-        circuit metadata records ``gates_per_step``.
     track_peak_snapshot : bool
         Keep a rolling snapshot of the gate achieving the running N_max.
     budget_s : float, optional
@@ -459,10 +458,6 @@ def evolve(
     n = circuit.n
 
     snap_at = set(int(k) for k in snapshot_gates)
-    if snapshot_steps:
-        per_step = int(circuit.metadata.get("gates_per_step", 0))
-        if per_step > 0:
-            snap_at.update(range(per_step, len(circuit.gates) + 1, per_step))
     instrumented = bool(snap_at) or track_peak_snapshot
 
     # one prep per unique generator, resolved to a flat per-gate list

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -68,26 +68,7 @@ class ProbeSeries:
         return np.array([p.delta for p in self.probes])
 
     def to_json_dict(self) -> dict:
-        return {
-            "delta_0": self.delta_0,
-            "ratio": self.ratio,
-            "requested_count": self.requested_count,
-            "initial_norm": self.initial_norm,
-            "n_qubits": self.n_qubits,
-            "budget_exhausted": self.budget_exhausted,
-            "probes": [
-                {
-                    "delta": p.delta,
-                    "n_max": p.n_max,
-                    "k_star": p.k_star,
-                    "norm_at_k_star": p.norm_at_k_star,
-                    "runtime_s": p.runtime_s,
-                    "gate_count": p.gate_count,
-                    "expectation": p.expectation,
-                }
-                for p in self.probes
-            ],
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -12,6 +12,7 @@ canonical order (word-by-word unsigned comparison, column 0 first; see
 
 from __future__ import annotations
 
+import bisect
 import csv
 
 import numpy as np
@@ -82,10 +83,15 @@ class PauliSum:
         return len(self.coeffs)
 
     def _find(self, p: PauliString) -> int:
+        """The slot of p's row, or -1 when absent."""
         if p.n != self.n:
             raise PauliError(f"size mismatch: {p.n} vs {self.n} qubits")
-        # the kernels take keyed (byte-swapped) rows
-        return int(kernels.find_rows(self.bits.byteswap(), p.nu_words().byteswap()[None, :])[0])
+        # canonical order is the order of the rows as tuples of words
+        target = p.z + p.x
+        slot = bisect.bisect_left(self.bits, target, key=lambda row: tuple(row.tolist()))
+        if slot < len(self) and tuple(self.bits[slot].tolist()) == target:
+            return slot
+        return -1
 
     def __contains__(self, p: PauliString) -> bool:
         return self._find(p) >= 0

@@ -87,7 +87,7 @@ class TestHistogram:
 
     def test_counts_sum_and_csv(self, tmp_path, rng):
         vals = rng.normal(size=500)
-        h = histogram(vals, bins=32, gate_index=12, delta=1e-3)
+        h = histogram(vals, bins=32)
         assert h.counts.sum() == h.total == 500
         path = tmp_path / "hist.csv"
         h.to_csv(path)

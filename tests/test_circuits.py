@@ -133,6 +133,10 @@ class TestKickedIsing:
         with pytest.raises(CircuitError):
             kicked_ising(topo, T=0, theta_zz=0.1, theta_x_spec=FixedAngle(0.1))
 
+    def test_bare_angle_rejected(self):
+        with pytest.raises(CircuitError, match="FixedAngle"):
+            kicked_ising(Topology.grid(2, 2), T=1, theta_zz=0.1, theta_x_spec=0.3)
+
 
 class TestTfimGrid:
     def test_paper_parameters(self):

@@ -188,8 +188,10 @@ class TestRun:
             "--delta", "1e-4", "--out-dir", str(out_dir), "--snapshots", "steps",
         ])
         assert code == EXIT_OK
-        snaps = sorted(out_dir.glob("snapshot_k*.npz"))
-        assert len(snaps) == 3  # one per Trotter step
+        per_step = json.loads(small_circuit.read_text())["metadata"]["gates_per_step"]
+        snaps = sorted(p.name for p in out_dir.glob("snapshot_k*.npz"))
+        # one at the end of each of the 3 Trotter steps
+        assert snaps == [f"snapshot_k{j * per_step:06d}.npz" for j in (1, 2, 3)]
         assert list(out_dir.glob("snapshot_peak_k*.npz"))
 
     def test_manifest_covers_all_outputs(self, small_circuit, tmp_path):
@@ -524,6 +526,16 @@ class TestConfigPrecedence:
                      "--circuit", "x", "--observable", "Z0", "--delta", "1",
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_USAGE
+
+
+class TestImport:
+    def test_cli_import_skips_quadrature(self):
+        # scipy.integrate is loaded by the integrals that use it, not by every command
+        src = str(Path(pauliprop.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = "import pauliprop.cli, sys; assert 'scipy.integrate' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                       check=True, capture_output=True)
 
 
 class TestDataDirEnv:

@@ -154,11 +154,11 @@ class TestClassify:
 class TestReportPayload:
     def test_timing_split(self):
         report = _report_from_estimates([0.5, 0.5, 0.5])
-        data = report.to_json_dict(include_timings=False)
+        data = report.to_json_dict()
         assert "extrapolated_runtime_s" not in data
         assert all("runtime_s" not in step for step in data["steps"])
-        full = report.to_json_dict(include_timings=True)
-        assert all("runtime_s" in step for step in full["steps"])
+        timings = report.timing_json_dict()
+        assert timings["runtimes_s"] == [s.runtime_s for s in report.steps]
 
     def test_local_minimum_risk_flag(self):
         # converged window preceded by a fluctuation larger than eps_tol

@@ -330,8 +330,9 @@ class TestEvolve:
         circ = kicked_ising(topo, T=3, theta_zz=-math.pi / 2, theta_x_spec=FixedAngle(0.3))
         obs = PauliSum.from_terms(4, [("Z0", 1.0)])
         per_step = circ.metadata["gates_per_step"]
-        final, trace = evolve(circ, obs, 0.0, snapshot_steps=True, track_peak_snapshot=True)
-        assert set(trace.snapshots) == {per_step, 2 * per_step, 3 * per_step}
+        steps = (per_step, 2 * per_step, 3 * per_step)
+        final, trace = evolve(circ, obs, 0.0, snapshot_gates=steps, track_peak_snapshot=True)
+        assert set(trace.snapshots) == set(steps)
         k_peak, snap = trace.peak_snapshot
         assert len(snap) == trace.n_max
 
