@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import TraceLog, _prepare_generator, _scan
+from .engine import TraceLog
 from .estimator import _ols
-from .pauli import PauliString
-from .sums import PauliSum, pairwise_dot
 
 __all__ = [
     "PowerLawModel",
@@ -33,14 +31,13 @@ __all__ = [
     "moment_estimate",
     "convolution_density",
     "s_theta",
-    "r_theta",
     "s_theta_sweep",
     "predict_term_count_step",
     "detect_eta_spikes",
-    "merge_pair_correlation",
-    "evolve_density_grid",
 ]
 
+DEFAULT_BINS = 2048
+DEFAULT_REGRESSION_L = 1.0
 DEFAULT_SPIKE_THRESHOLD = 0.2
 # absolute quadrature tolerances: the convolution density at |t| <= delta,
 # and the chasm mass s(theta)
@@ -78,15 +75,10 @@ class PowerLawModel:
             raise ValueError(f"cutoff delta must be positive, got {self.delta}")
         object.__setattr__(self, "A", self.m * self.delta**self.m / 2.0)
 
-    def density(self, t):
-        """rho(t); accepts scalars or arrays."""
-        if isinstance(t, (float, int, np.floating, np.integer)):
-            # quadrature calls this once per point; skip the array round trip
-            a = abs(float(t))
-            return float(self.A / a ** (self.m + 1)) if a >= self.delta else 0.0
-        t = np.asarray(t, dtype=float)
-        out = np.where(np.abs(t) >= self.delta, self.A / np.maximum(np.abs(t), self.delta) ** (self.m + 1), 0.0)
-        return out if out.ndim else float(out)
+    def density(self, t: float) -> float:
+        """rho(t) at one point (quadrature calls this once per node)."""
+        a = abs(float(t))
+        return float(self.A / a ** (self.m + 1)) if a >= self.delta else 0.0
 
     def abs_tail_mass(self, a: float) -> float:
         """Pr(|c| >= a)."""
@@ -138,7 +130,7 @@ class CoefficientHistogram:
 
 def histogram(
     coeffs,
-    bins: int = 2048,
+    bins: int = DEFAULT_BINS,
     absolute: bool = False,
     delta_floor: float | None = None,
 ) -> CoefficientHistogram:
@@ -154,11 +146,8 @@ def histogram(
         raise ValueError(f"need at least 2 bins, got {bins}")
     if absolute:
         values = np.abs(values)
-        lo = float(values.min()) if delta_floor is None else float(delta_floor)
-        hi = float(values.max())
-    else:
-        lo = float(values.min())
-        hi = float(values.max())
+    lo = float(delta_floor) if absolute and delta_floor is not None else float(values.min())
+    hi = float(values.max())
     if hi <= lo:
         hi = lo + max(1.0, abs(lo)) * 1e-12  # all-equal input: single populated bin
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
@@ -191,7 +180,7 @@ class MFitResult:
         }
 
 
-def fit_m_regression(abs_coeffs, delta: float, l: float = 1.0) -> MFitResult:
+def fit_m_regression(abs_coeffs, delta: float, l: float = DEFAULT_REGRESSION_L) -> MFitResult:
     """Binned log-log regression for the exponent m.
 
     Bins of width delta/16 centered at 144 uniformly spaced points between
@@ -399,11 +388,6 @@ def s_theta(model: PowerLawModel, theta: float) -> float:
     return 2.0 * _quad_pieces(integrand, pieces, _CHASM_EPSABS / 2.0)
 
 
-def r_theta(model: PowerLawModel, theta: float) -> float:
-    """Surviving fraction of merged rows: r = 1 - s."""
-    return 1.0 - s_theta(model, theta)
-
-
 def s_theta_sweep(model: PowerLawModel, thetas) -> list[dict]:
     rows = []
     for th in thetas:
@@ -418,9 +402,9 @@ def predict_term_count_step(
     """One step of the term-count recurrence.
 
     N' = N * (1 - phi + (phi - eta) * (cos^m + sin^m) + eta * r(theta)),
-    with p = cos(theta)^m and q = sin(theta)^m.  theta is folded to the
-    effective branching angle in [0, pi/2); theta = 0 is the no-branching
-    limit (N' = N).
+    with p = cos(theta)^m, q = sin(theta)^m and r = 1 - s(theta), the
+    surviving fraction of merged rows.  theta is folded to the effective
+    branching angle in [0, pi/2); theta = 0 is the no-branching limit (N' = N).
     """
     if not (0.0 <= eta <= phi <= 1.0):
         raise ValueError(f"need 0 <= eta <= phi <= 1, got eta={eta}, phi={phi}")
@@ -430,7 +414,7 @@ def predict_term_count_step(
     m = model.m
     p = math.cos(th) ** m
     q = math.sin(th) ** m
-    r = r_theta(model, th) if eta > 0.0 else 1.0
+    r = 1.0 - s_theta(model, th) if eta > 0.0 else 1.0
     return float(n_terms) * (1.0 - phi + (phi - eta) * (p + q) + eta * r)
 
 
@@ -440,89 +424,3 @@ def detect_eta_spikes(trace: TraceLog, threshold: float = DEFAULT_SPIKE_THRESHOL
         raise ValueError("empty trace")
     return [(g.k, g.eta, g.theta) for g in trace.gates if g.eta >= threshold]
 
-
-def merge_pair_correlation(s: PauliSum, sigma: PauliString) -> float:
-    """Pearson correlation of |c| across merge pairs for the upcoming gate.
-
-    Diagnostic for the independence assumption behind the convolution model;
-    returns NaN when fewer than 2 pairs exist.
-    """
-    words = _prepare_generator(sigma, s.n)[0]
-    # the prepared words are keyed (byte-swapped); key the rows to match
-    anti_idx, _, pos = _scan(s.bits.byteswap(), words)
-    if pos is None:
-        return float("nan")
-    # each pair {P, i sigma P} once, from its lower slot
-    first = anti_idx < pos
-    if np.count_nonzero(first) < 2:
-        return float("nan")
-    a = np.abs(s.coeffs[anti_idx[first]])
-    b = np.abs(s.coeffs[pos[first]])
-    va = a - a.mean()
-    vb = b - b.mean()
-    denom = math.sqrt(pairwise_dot(va, va) * pairwise_dot(vb, vb))
-    if denom == 0.0:
-        return float("nan")
-    return pairwise_dot(va, vb) / denom
-
-
-# ---------------------------------------------------------------------------
-# density-evolution grid (diagnostics)
-# ---------------------------------------------------------------------------
-
-
-def evolve_density_grid(model: PowerLawModel, gate_params, grid_points: int = 4096):
-    """Evolve the coefficient density on a log grid over [delta, 1].
-
-    ``gate_params`` is an iterable of (phi, eta, theta) per gate.  Returns
-    (grid, density) where density is the symmetric density evaluated on the
-    positive-axis grid.  Diagnostics-grade: used for model-vs-simulation
-    comparison plots, no accuracy contract.
-    """
-    d = model.delta
-    grid = np.geomspace(d, 1.0, grid_points)
-    rho = model.density(grid)
-
-    def total_mass(vals):
-        return 2.0 * np.trapezoid(vals, grid)
-
-    def interp(vals, pts):
-        out = np.interp(pts, grid, vals, left=0.0, right=0.0)
-        out[pts < d] = 0.0
-        return out
-
-    def tail_mass_from(vals, a):
-        mask = grid >= a
-        if mask.sum() < 2:
-            return 0.0
-        return 2.0 * np.trapezoid(vals[mask], grid[mask])
-
-    for phi, eta, theta in gate_params:
-        th = abs(math.remainder(theta, math.pi))
-        if th == 0.0 or phi == 0.0:
-            continue
-        c, s = math.cos(th), math.sin(th)
-        p = tail_mass_from(rho, d / c) if d / c <= 1.0 else 0.0
-        q = tail_mass_from(rho, d / s) if d / s <= 1.0 else 0.0
-        # self-convolution of the current grid density at each grid point,
-        # folded to the positive axis
-        conv = np.empty_like(rho)
-        u = grid
-        w_u = rho
-        for i, t in enumerate(grid):
-            f1 = interp(rho, np.abs((t - u * s) / c))
-            f2 = interp(rho, np.abs((t + u * s) / c))
-            conv[i] = np.trapezoid(w_u * (f1 + f2), u) / c
-        r = tail_mass_from(conv, d) / max(total_mass(conv), 1e-300)
-        conv_trunc = conv / max(total_mass(conv), 1e-300)
-        numer = (
-            (1.0 - phi) * rho
-            + (phi - eta) * (p * interp(rho, grid / c) / c + q * interp(rho, grid / s) / s)
-            + eta * conv_trunc
-        )
-        denom = 1.0 - phi + (phi - eta) * (p + q) + eta * r
-        rho = numer / denom
-        mass = total_mass(rho)
-        if mass > 0:
-            rho = rho / mass
-    return grid, rho

@@ -8,7 +8,8 @@ or a timing sidecar, never inside the deterministic artifacts.
 Relative output paths resolve under $PAULIPROP_DATA_DIR when it is set.
 ``run --snapshots steps`` snapshots the peak and the end of every Trotter
 step, at multiples of the circuit file's ``metadata.gates_per_step``;
-``--snapshots`` also takes comma-separated gate indices.
+``--snapshots`` also takes comma-separated gate indices in 1..len(circuit).
+Anything else is a usage error, raised before anything is written.
 ``--config FILE`` supplies defaults from a JSON object keyed by option
 name (underscores); explicit flags win over the config file, which wins
 over built-in defaults, and the manifest records the resolved values.
@@ -43,6 +44,8 @@ import scipy
 
 from . import __version__
 from .analysis import (
+    DEFAULT_BINS,
+    DEFAULT_REGRESSION_L,
     DEFAULT_SPIKE_THRESHOLD,
     MFitResult,
     PowerLawModel,
@@ -68,7 +71,9 @@ from .convergence import ConvergenceConfig, classify, run_protocol
 from .engine import Aborted, BudgetExceeded, RowCapExceeded, TraceLog, evolve, expectation
 from .estimator import (
     DEFAULT_DELTA_0,
+    DEFAULT_PROBE_COUNT,
     DEFAULT_RATIO,
+    DEFAULT_TAIL_POINTS,
     EstimationImpossible,
     predict_resources,
     run_probes,
@@ -182,10 +187,10 @@ def _load_observable(spec: str, n: int) -> PauliSum:
 
 
 def _inputs(args, command: str):
-    """Circuit, observable, output directory and manifest of a propagating command."""
+    """Circuit, observable and manifest; the command makes its output directory once checked."""
     circuit = Circuit.load(args.circuit)
     observable = _load_observable(args.observable, circuit.n)
-    return circuit, observable, _out_dir(args), _Manifest(command, args)
+    return circuit, observable, _Manifest(command, args)
 
 
 def _resolve_topology(name_or_path: str):
@@ -250,24 +255,30 @@ def _write_snapshots(trace: TraceLog, out: Path, manifest: _Manifest, delta: flo
         snap.to_npz(path, gate_index=k, delta=delta)
 
 
-def cmd_run(args) -> int:
-    circuit, observable, out, manifest = _inputs(args, "run")
-
-    snapshot_gates = ()
-    track_peak = args.snapshots == "steps"
-    if track_peak:  # the end of every Trotter step the circuit file records
+def _snapshot_gates(spec: str | None, circuit: Circuit):
+    """The gate indices ``--snapshots`` names: ``steps`` or comma-separated indices."""
+    if spec == "steps":  # the end of every Trotter step the circuit file records
         per_step = int(circuit.metadata.get("gates_per_step", 0))
-        if per_step > 0:
-            snapshot_gates = range(per_step, len(circuit) + 1, per_step)
-    elif args.snapshots:
-        snapshot_gates = tuple(int(tok) for tok in args.snapshots.split(","))
+        if per_step <= 0:
+            raise UsageError("--snapshots steps needs a positive metadata.gates_per_step")
+        return range(per_step, len(circuit) + 1, per_step)
+    gates = tuple(int(tok) for tok in spec.split(",")) if spec else ()
+    if not all(1 <= k <= len(circuit) for k in gates):
+        raise UsageError(f"--snapshots {spec} names a gate outside 1..{len(circuit)}")
+    return gates
+
+
+def cmd_run(args) -> int:
+    circuit, observable, manifest = _inputs(args, "run")
+    snapshot_gates = _snapshot_gates(args.snapshots, circuit)
+    out = _out_dir(args)
 
     aborted = None
     t0 = time.monotonic()
     try:
         final, trace = evolve(
             circuit, observable, args.delta,
-            snapshot_gates=snapshot_gates, track_peak_snapshot=track_peak,
+            snapshot_gates=snapshot_gates, track_peak_snapshot=args.snapshots == "steps",
             budget_s=args.budget, row_cap=args.max_rows,
         )
     except Aborted as exc:
@@ -301,7 +312,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    circuit, observable, out, manifest = _inputs(args, "estimate")
+    circuit, observable, manifest = _inputs(args, "estimate")
 
     targets = _parse_float_list(args.targets)
     if not targets:
@@ -312,6 +323,7 @@ def cmd_estimate(args) -> int:
             raise UsageError(
                 f"target delta {t} must be below the finest probe delta {finest_probe:g}"
             )
+    out = _out_dir(args)
 
     try:
         series = run_probes(
@@ -346,7 +358,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    circuit, observable, out, manifest = _inputs(args, "converge")
+    circuit, observable, manifest = _inputs(args, "converge")
+    out = _out_dir(args)
 
     config = ConvergenceConfig(
         delta_0=args.delta0, ratio=args.ratio, eps_tol=args.eps_tol, ell=args.ell,
@@ -516,9 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="probe runs + N_max/runtime extrapolation")
     est.add_argument("--delta0", type=float, default=DEFAULT_DELTA_0)
     est.add_argument("--ratio", type=float, default=DEFAULT_RATIO)
-    est.add_argument("--count", type=int, default=3)
+    est.add_argument("--count", type=int, default=DEFAULT_PROBE_COUNT)
     est.add_argument("--targets", required=True, help="comma-separated target deltas")
-    est.add_argument("--tail-points", type=int, default=4)
+    est.add_argument("--tail-points", type=int, default=DEFAULT_TAIL_POINTS)
     est.add_argument("--budget", type=float, default=None)
     est.set_defaults(func=cmd_estimate)
 
@@ -538,12 +551,12 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--trace", default=None, help="trace CSV (for --spikes)")
     ana.add_argument("--n", type=int, default=None, help="qubit count for CSV snapshots")
     ana.add_argument("--histogram", action="store_true")
-    ana.add_argument("--bins", type=int, default=2048)
+    ana.add_argument("--bins", type=int, default=DEFAULT_BINS)
     ana.add_argument("--absolute", action="store_true")
     ana.add_argument("--mle", action="store_true")
     ana.add_argument("--xmin-mult", default="1", help="comma-separated multiples of delta")
     ana.add_argument("--regression", action="store_true")
-    ana.add_argument("--l", type=float, default=1.0)
+    ana.add_argument("--l", type=float, default=DEFAULT_REGRESSION_L)
     ana.add_argument("--delta", type=float, default=None)
     ana.add_argument("--spikes", action="store_true")
     ana.add_argument("--threshold", type=float, default=DEFAULT_SPIKE_THRESHOLD)

@@ -35,6 +35,8 @@ __all__ = [
 
 DEFAULT_DELTA_0 = 0.005
 DEFAULT_RATIO = 1.0 / math.sqrt(2.0)
+DEFAULT_PROBE_COUNT = 3
+DEFAULT_TAIL_POINTS = 4
 
 
 class EstimationImpossible(RuntimeError):
@@ -124,7 +126,7 @@ def run_probes(
     observable: PauliSum,
     delta_0: float = DEFAULT_DELTA_0,
     ratio: float = DEFAULT_RATIO,
-    count: int = 3,
+    count: int = DEFAULT_PROBE_COUNT,
     budget_s: float | None = None,
     row_cap: int | None = None,
 ) -> ProbeSeries:
@@ -229,7 +231,7 @@ def predict_nmax(series: ProbeSeries, targets) -> ResourcePrediction:
     )
 
 
-def predict_runtime(runs, targets, tail_points: int = 4) -> ResourcePrediction:
+def predict_runtime(runs, targets, tail_points: int = DEFAULT_TAIL_POINTS) -> ResourcePrediction:
     """Fit log runtime vs log(1/delta) on the last tail_points runs only.
 
     ``runs`` are completed runs in order of decreasing delta, anything with
@@ -253,7 +255,9 @@ def predict_runtime(runs, targets, tail_points: int = 4) -> ResourcePrediction:
     )
 
 
-def predict_resources(series: ProbeSeries, targets, tail_points: int = 4) -> ResourcePrediction:
+def predict_resources(
+    series: ProbeSeries, targets, tail_points: int = DEFAULT_TAIL_POINTS
+) -> ResourcePrediction:
     """Combined N_max and runtime prediction (one report object)."""
     n_pred = predict_nmax(series, targets)
     t_pred = predict_runtime(series.probes, targets, tail_points=tail_points)

@@ -15,14 +15,11 @@ from pauliprop.analysis import (
     _quad_pieces,
     convolution_density,
     detect_eta_spikes,
-    evolve_density_grid,
     fit_m_mle,
     fit_m_regression,
     histogram,
-    merge_pair_correlation,
     moment_estimate,
     predict_term_count_step,
-    r_theta,
     s_theta,
     s_theta_sweep,
 )
@@ -289,7 +286,7 @@ class TestSTheta:
         model = PowerLawModel(m=1.7, delta=1e-3)
         s = s_theta(model, 0.4)
         assert 0.0 <= s <= 1.0
-        assert abs(r_theta(model, 0.4) - (1.0 - s)) < 1e-15
+        assert s_theta_sweep(model, [0.4])[0]["r"] == 1.0 - s
 
     def test_monte_carlo_cross_check(self, rng):
         model = PowerLawModel(m=1.5, delta=1e-3)
@@ -321,6 +318,20 @@ class TestTermCountRecurrence:
     def test_zero_angle_identity(self):
         model = PowerLawModel(m=1.5, delta=1e-3)
         assert predict_term_count_step(500.0, 0.8, 0.2, 0.0, model) == 500.0
+
+    @pytest.mark.parametrize("theta", [0.4, math.pi / 4, 1.2, math.pi - 0.4])
+    def test_merge_term(self, theta):
+        # eta > 0: merged rows survive at r = 1 - s(theta), theta folded into [0, pi/2]
+        model = PowerLawModel(m=1.7, delta=1e-3)
+        n, phi, eta = 1000.0, 0.6, 0.25
+        th = min(theta, math.pi - theta)
+        expected = n * (
+            1.0 - phi
+            + (phi - eta) * (math.cos(th) ** model.m + math.sin(th) ** model.m)
+            + eta * (1.0 - s_theta(model, th))
+        )
+        got = predict_term_count_step(n, phi, eta, theta, model)
+        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_invalid_fractions(self):
         model = PowerLawModel(m=1.5, delta=1e-3)
@@ -391,33 +402,3 @@ class TestEtaSpikes:
         with pytest.raises(ValueError):
             detect_eta_spikes(TraceLog(n=2, delta=0.0, initial_norm=1.0), 0.2)
 
-
-class TestMergePairCorrelation:
-    def test_reports_correlation_in_range(self, rng):
-        terms = []
-        # construct pairs under sigma = X0: rows Z0*P and Y0*P
-        for tail in ("I", "X", "Y", "Z"):
-            base = "Z0" if tail == "I" else f"Z0*{tail}1"
-            partner = "Y0" if tail == "I" else f"Y0*{tail}1"
-            c = float(rng.normal()) or 0.3
-            terms += [(base, c), (partner, c * 0.9 + 0.01)]
-        s = PauliSum.from_terms(3, terms)
-        rho = merge_pair_correlation(s, PauliString.from_label("X0", 3))
-        assert -1.0 <= rho <= 1.0
-        assert rho > 0.5  # constructed to correlate
-
-    def test_nan_without_pairs(self):
-        s = PauliSum.from_terms(2, [("Z0", 1.0)])
-        assert math.isnan(merge_pair_correlation(s, PauliString.from_label("X0", 2)))
-
-
-class TestDensityGridEvolver:
-    def test_power_law_approximately_invariant(self):
-        model = PowerLawModel(m=1.5, delta=1e-3)
-        steps = [(0.5, 0.05, 0.35)] * 10
-        grid, rho = evolve_density_grid(model, steps, grid_points=1024)
-        mass = 2.0 * np.trapezoid(rho, grid)
-        assert abs(mass - 1.0) < 0.05
-        window = (grid > 2e-3) & (grid < 3e-2)
-        slope = np.polyfit(np.log(grid[window]), np.log(np.maximum(rho[window], 1e-300)), 1)[0]
-        assert abs(slope - (-(model.m + 1))) < 0.5

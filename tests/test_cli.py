@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -13,13 +14,17 @@ import pytest
 import scipy
 
 import pauliprop
+from pauliprop.analysis import fit_m_regression, histogram
 from pauliprop.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    _iter_subparsers,
+    build_parser,
     main,
 )
+from pauliprop.estimator import predict_resources, run_probes
 
 
 @pytest.fixture
@@ -193,6 +198,27 @@ class TestRun:
         # one at the end of each of the 3 Trotter steps
         assert snaps == [f"snapshot_k{j * per_step:06d}.npz" for j in (1, 2, 3)]
         assert list(out_dir.glob("snapshot_peak_k*.npz"))
+
+    @pytest.mark.parametrize("spec, strip_metadata", [("0,999", False), ("steps", True)])
+    def test_snapshots_naming_no_gate_usage_error(self, tmp_path, capsys, spec, strip_metadata):
+        # a 2x2 grid-ising circuit of 16 gates; without gates_per_step, 'steps' names no gate
+        path = tmp_path / "grid.json"
+        assert main([
+            "gen-circuit", "grid-ising", "--rows", "2", "--cols", "2", "--h", "1.0",
+            "--t", "0.5", "--dt", "0.25", "--out", str(path),
+        ]) == EXIT_OK
+        if strip_metadata:
+            payload = json.loads(path.read_text())
+            payload["metadata"] = {}
+            path.write_text(json.dumps(payload))
+        out_dir = tmp_path / "snaps"
+        code = main([
+            "run", "--circuit", str(path), "--observable", "Z0", "--delta", "1e-3",
+            "--out-dir", str(out_dir), "--snapshots", spec,
+        ])
+        assert code == EXIT_USAGE
+        assert "--snapshots" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_manifest_covers_all_outputs(self, small_circuit, tmp_path):
         out_dir = tmp_path / "cov"
@@ -485,6 +511,17 @@ class TestAnalyze:
 
     def test_nothing_to_do_usage(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path / "x")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command, flag, function", [
+    ("estimate", "count", run_probes),
+    ("estimate", "tail_points", predict_resources),
+    ("analyze", "bins", histogram),
+    ("analyze", "l", fit_m_regression),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_flag_default_is_library_default(command, flag, function):
+    parser = next(p for p in _iter_subparsers(build_parser()) if p.prog.endswith(command))
+    assert parser.get_default(flag) == inspect.signature(function).parameters[flag].default
 
 
 class TestConfigPrecedence:
