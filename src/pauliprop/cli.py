@@ -67,7 +67,7 @@ from .circuits import (
     load_topology,
     tfim_trotter_grid,
 )
-from .convergence import ConvergenceConfig, classify, run_protocol
+from .convergence import STATUS_CONVERGED, ConvergenceConfig, run_protocol
 from .engine import Aborted, BudgetExceeded, RowCapExceeded, TraceLog, evolve, expectation
 from .estimator import (
     DEFAULT_DELTA_0,
@@ -314,6 +314,8 @@ def cmd_run(args) -> int:
 def cmd_estimate(args) -> int:
     circuit, observable, manifest = _inputs(args, "estimate")
 
+    if args.count < 2:
+        raise UsageError(f"--count must be at least 2 for a regression, got {args.count}")
     targets = _parse_float_list(args.targets)
     if not targets:
         raise UsageError("--targets must list at least one delta")
@@ -359,13 +361,13 @@ def cmd_estimate(args) -> int:
 
 def cmd_converge(args) -> int:
     circuit, observable, manifest = _inputs(args, "converge")
-    out = _out_dir(args)
-
     config = ConvergenceConfig(
         delta_0=args.delta0, ratio=args.ratio, eps_tol=args.eps_tol, ell=args.ell,
         t_cpu_s=args.t_cpu, max_steps=args.max_steps,
         cumulative_budget_s=args.cumulative_budget,
     )
+    out = _out_dir(args)
+
     try:
         report = run_protocol(circuit, observable, config, row_cap=args.max_rows)
     except Aborted as exc:  # a row-cap stop; a budget stop is the report's status
@@ -375,7 +377,7 @@ def cmd_converge(args) -> int:
     _write_json(manifest.add(out / "timing.json"), report.timing_json_dict())
     _write_csv(
         manifest.add(out / "convergence.csv"), ["log10_inv_delta", "estimate", "runtime_s"],
-        ([repr(math.log10(1.0 / s.delta)), repr(s.estimate), repr(s.runtime_s)]
+        ([repr(math.log10(1.0 / s.delta)), repr(s.expectation), repr(s.runtime_s)]
          for s in report.steps),
     )
     stop = None
@@ -385,13 +387,12 @@ def cmd_converge(args) -> int:
     if stop is not None:
         raise stop
 
-    verdict = classify(report)
-    if verdict.kind == "converged":
-        print(f"status = {report.status}; estimate = {verdict.value!r} (window {verdict.window})")
+    if report.status == STATUS_CONVERGED:
+        print(f"status = {report.status}; estimate = {report.final_estimate!r} (window {report.window})")
     else:
-        print(f"status = {report.status}; estimate range = {verdict.estimate_range}")
-        if verdict.extrapolated_costs:
-            print(f"next-step runtime extrapolation: {verdict.extrapolated_costs}")
+        print(f"status = {report.status}; estimate range = {report.estimate_range}")
+        if report.extrapolated_runtime_s:
+            print(f"next-step runtime extrapolation: {report.extrapolated_runtime_s}")
     return EXIT_OK
 
 
@@ -409,25 +410,33 @@ def _load_snapshot(path: Path, n_hint: int | None) -> PauliSum:
 
 
 def cmd_analyze(args) -> int:
-    out = _out_dir(args)
     manifest = _Manifest("analyze", args)
-    did_anything = False
+    # every usage error comes before the output directory is made
+    snap = _load_snapshot(Path(args.snapshot), args.n) if args.snapshot else None
+    on_snapshot = snap is not None and (args.histogram or args.mle or args.regression)
+    if not (on_snapshot or args.trace or args.s_theta):
+        raise UsageError("nothing to analyze: pass --histogram/--mle/--regression/--spikes/--s-theta")
+    for fit in ("mle", "regression"):
+        if snap is not None and getattr(args, fit) and args.delta is None:
+            raise UsageError(f"--{fit} requires --delta")
+    if args.trace and not args.spikes:
+        raise UsageError("--trace input supports --spikes analysis")
+    if args.s_theta and (args.m is None or args.delta is None):
+        raise UsageError("--s-theta requires --m and --delta")
+    xmin_mults = _parse_float_list(args.xmin_mult) if snap is not None and args.mle else []
+    out = _out_dir(args)
 
-    if args.snapshot:
-        snap = _load_snapshot(Path(args.snapshot), args.n)
+    if snap is not None:
         if args.histogram:
             hist = histogram(
                 snap.coeffs, bins=args.bins, absolute=args.absolute,
                 delta_floor=args.delta if args.absolute else None,
             )
             hist.to_csv(manifest.add(out / "histogram.csv"))
-            did_anything = True
         fits: list[MFitResult] = []
         if args.mle:
-            if args.delta is None:
-                raise UsageError("--mle requires --delta")
             abs_coeffs = np.abs(snap.coeffs)
-            for mult in _parse_float_list(args.xmin_mult):
+            for mult in xmin_mults:
                 x_min = mult * args.delta
                 m_hat = fit_m_mle(abs_coeffs, x_min)
                 fits.append(
@@ -436,20 +445,14 @@ def cmd_analyze(args) -> int:
                         n_samples=int(np.count_nonzero(abs_coeffs >= x_min)),
                     )
                 )
-            did_anything = True
         if args.regression:
-            if args.delta is None:
-                raise UsageError("--regression requires --delta")
             fits.append(fit_m_regression(snap.coeffs, args.delta, l=args.l))
-            did_anything = True
         if fits:
             _write_json(manifest.add(out / "fits.json"), [f.to_json_dict() for f in fits])
             for f in fits:
                 print(f"{f.method} (x_min={f.x_min:g}): m = {f.m:.6f}")
 
     if args.trace:
-        if not args.spikes:
-            raise UsageError("--trace input supports --spikes analysis")
         trace = TraceLog.from_csv(args.trace)
         spikes = detect_eta_spikes(trace, threshold=args.threshold)
         _write_json(
@@ -457,11 +460,8 @@ def cmd_analyze(args) -> int:
             [{"k": k, "eta": eta, "theta": theta} for k, eta, theta in spikes],
         )
         print(f"{len(spikes)} eta spike(s) at threshold {args.threshold}")
-        did_anything = True
 
     if args.s_theta:
-        if args.m is None or args.delta is None:
-            raise UsageError("--s-theta requires --m and --delta")
         model = PowerLawModel(m=args.m, delta=args.delta)
         thetas = np.linspace(args.theta_min, args.theta_max, args.theta_count)
         rows = s_theta_sweep(model, thetas)
@@ -469,10 +469,7 @@ def cmd_analyze(args) -> int:
             manifest.add(out / "s_theta.csv"), ["theta", "s", "r"],
             ([repr(row["theta"]), repr(row["s"]), repr(row["r"])] for row in rows),
         )
-        did_anything = True
 
-    if not did_anything:
-        raise UsageError("nothing to analyze: pass --histogram/--mle/--regression/--spikes/--s-theta")
     manifest.write(out)
     return EXIT_OK
 

@@ -1,10 +1,11 @@
 """Apparent-convergence protocol over a shrinking truncation threshold.
 
-Successive estimates O_n at delta_n = r^n * delta_0 run until either the
-trailing window of estimates agrees within the tolerance, the latest run
-time exceeds the CPU budget, or the step limit is reached.  The report
-carries the estimate range and runtime extrapolations either way, so an
-unconverged problem still yields a guiding range and a cost forecast.
+Successive estimates O_n at delta_n = r^n * delta_0, one probe each, run
+until either the trailing window of estimates agrees within the tolerance,
+the latest run time exceeds the CPU budget, or the step limit is reached.
+The report's verdict is derived from its steps and status: the estimate
+range and runtime extrapolations hold either way, so an unconverged problem
+still yields a guiding range and a cost forecast.
 """
 
 from __future__ import annotations
@@ -13,20 +14,17 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .circuits import Circuit
-from .engine import BudgetExceeded, evolve, expectation
-from .estimator import EstimationImpossible, predict_runtime
+from .engine import BudgetExceeded
+from .estimator import ProbeResult, predict_runtime, probe
 from .sums import PauliSum
 
 __all__ = [
     "ConvergenceConfig",
-    "ConvergenceStep",
     "ConvergenceReport",
-    "Classification",
     "STATUS_CONVERGED",
     "STATUS_BUDGET",
     "STATUS_STEP_LIMIT",
     "run_protocol",
-    "classify",
 ]
 
 STATUS_CONVERGED = "apparently_converged"
@@ -68,28 +66,48 @@ class ConvergenceConfig:
 
 
 @dataclass
-class ConvergenceStep:
-    n: int
-    delta: float
-    estimate: float
-    runtime_s: float
-    n_max: int
-
-
-@dataclass
 class ConvergenceReport:
+    """What the sweep did, ``steps[n]`` at ``config.delta_at(n)``; the verdict is derived."""
+
     config: ConvergenceConfig
-    steps: list[ConvergenceStep] = field(default_factory=list)
+    steps: list[ProbeResult] = field(default_factory=list)
     status: str = STATUS_STEP_LIMIT
-    final_estimate: float | None = None
-    window: list[float] = field(default_factory=list)
-    estimate_range: tuple[float, float] | None = None
-    extrapolated_runtime_s: list[float] | None = None
-    local_minimum_risk: bool = False
     aborted_step: dict | None = None
 
     def estimates(self) -> list[float]:
-        return [s.estimate for s in self.steps]
+        return [s.expectation for s in self.steps]
+
+    @property
+    def window(self) -> list[float]:
+        """The trailing ell estimates that agreed; empty unless converged."""
+        return self.estimates()[-self.config.ell:] if self.status == STATUS_CONVERGED else []
+
+    @property
+    def final_estimate(self) -> float | None:
+        return self.steps[-1].expectation if self.status == STATUS_CONVERGED else None
+
+    @property
+    def estimate_range(self) -> tuple[float, float] | None:
+        ests = self.estimates()
+        return (min(ests), max(ests)) if ests else None
+
+    @property
+    def local_minimum_risk(self) -> bool:
+        """A converged window whose preceding estimate lies outside the tolerance."""
+        ell = self.config.ell
+        if self.status != STATUS_CONVERGED or len(self.steps) <= ell:
+            return False
+        widened = self.estimates()[-(ell + 1):]
+        return max(widened) - min(widened) > self.config.eps_tol
+
+    @property
+    def extrapolated_runtime_s(self) -> list[float] | None:
+        """Predicted runtimes of the next two steps, whatever the status."""
+        if len(self.steps) < 2:
+            return None
+        next_n = len(self.steps)
+        targets = [self.config.delta_at(next_n), self.config.delta_at(next_n + 1)]
+        return predict_runtime(self.steps, targets).runtime_s
 
     def to_json_dict(self) -> dict:
         """The deterministic report, written byte-stably: runtimes, which vary
@@ -97,8 +115,8 @@ class ConvergenceReport:
         out = {
             "config": self.config.to_json_dict(),
             "steps": [
-                {"n": s.n, "delta": s.delta, "estimate": s.estimate, "n_max": s.n_max}
-                for s in self.steps
+                {"n": n, "delta": s.delta, "estimate": s.expectation, "n_max": s.n_max}
+                for n, s in enumerate(self.steps)
             ],
             "status": self.status,
             "final_estimate": self.final_estimate,
@@ -120,50 +138,18 @@ class ConvergenceReport:
         }
 
 
-@dataclass
-class Classification:
-    """Two-regime verdict: a trusted value or a guiding range plus costs."""
-
-    kind: str  # "converged" | "unconverged"
-    value: float | None = None
-    window: list[float] | None = None
-    estimate_range: tuple[float, float] | None = None
-    extrapolated_costs: list[float] | None = None
-
-
-def _finish(report: ConvergenceReport) -> ConvergenceReport:
-    ests = report.estimates()
-    if ests:
-        report.estimate_range = (min(ests), max(ests))
-    if report.status == STATUS_CONVERGED:
-        report.final_estimate = ests[-1]
-        report.window = ests[-report.config.ell:]
-        if len(ests) > report.config.ell:
-            widened = ests[-(report.config.ell + 1):]
-            report.local_minimum_risk = (max(widened) - min(widened)) > report.config.eps_tol
-    # runtime extrapolation for the next two steps, whatever the status
-    if len(report.steps) >= 2:
-        next_n = report.steps[-1].n + 1
-        targets = [report.config.delta_at(next_n), report.config.delta_at(next_n + 1)]
-        try:
-            pred = predict_runtime(report.steps, targets)
-            report.extrapolated_runtime_s = pred.runtime_s
-        except (EstimationImpossible, ValueError):
-            report.extrapolated_runtime_s = None
-    return report
-
-
 def run_protocol(
     circuit: Circuit, observable: PauliSum, config: ConvergenceConfig, row_cap: int | None = None
 ) -> ConvergenceReport:
-    """Run estimates at shrinking thresholds until convergence or budget.
+    """Probe at shrinking thresholds until convergence or budget.
 
-    Stop rules: (a) the trailing ell estimates span at most eps_tol
-    (apparently converged); (b) the most recent runtime exceeds t_cpu_s
-    (budget exhausted; a single run is also cut off at the budget and
-    recorded without an estimate); (c) max_steps reached.  A run past
-    ``row_cap`` rows raises RowCapExceeded and returns no report; the cap is
-    not part of the config, so it stays out of the report.
+    Each step is one :func:`~pauliprop.estimator.probe`.  Stop rules: (a) the
+    trailing ell estimates span at most eps_tol (apparently converged);
+    (b) the most recent runtime exceeds t_cpu_s (budget exhausted; a single
+    run is also cut off at the budget and recorded as ``aborted_step``,
+    without an estimate); (c) max_steps reached.  A run past ``row_cap``
+    rows raises RowCapExceeded and returns no report; the cap is not part
+    of the config, so it stays out of the report.
     """
     report = ConvergenceReport(config=config)
     started = time.monotonic()
@@ -178,7 +164,7 @@ def run_protocol(
             step_budget = min(step_budget, remaining)
         t0 = time.monotonic()
         try:
-            final, trace = evolve(circuit, observable, delta_n, budget_s=step_budget, row_cap=row_cap)
+            step = probe(circuit, observable, delta_n, budget_s=step_budget, row_cap=row_cap)
         except BudgetExceeded as exc:
             report.aborted_step = {
                 "n": n,
@@ -188,35 +174,12 @@ def run_protocol(
             }
             report.status = STATUS_BUDGET
             break
-        runtime = time.monotonic() - t0
-        report.steps.append(
-            ConvergenceStep(
-                n=n, delta=delta_n, estimate=expectation(final),
-                runtime_s=runtime, n_max=trace.n_max,
-            )
-        )
-        ests = report.estimates()
-        if len(ests) >= config.ell:
-            window = ests[-config.ell:]
-            if max(window) - min(window) <= config.eps_tol:
-                report.status = STATUS_CONVERGED
-                break
-        if runtime > config.t_cpu_s:
+        report.steps.append(step)
+        window = report.estimates()[-config.ell:]
+        if len(window) == config.ell and max(window) - min(window) <= config.eps_tol:
+            report.status = STATUS_CONVERGED
+            break
+        if step.runtime_s > config.t_cpu_s:
             report.status = STATUS_BUDGET
             break
-    return _finish(report)
-
-
-def classify(report: ConvergenceReport) -> Classification:
-    """Bin a finished report into the converged / unconverged regimes."""
-    if not report.steps and report.aborted_step is None:
-        raise ValueError("report has no steps to classify")
-    if report.status == STATUS_CONVERGED:
-        return Classification(
-            kind="converged", value=report.final_estimate, window=report.window
-        )
-    return Classification(
-        kind="unconverged",
-        estimate_range=report.estimate_range,
-        extrapolated_costs=report.extrapolated_runtime_s,
-    )
+    return report

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "ResourcePrediction",
     "GapEstimate",
     "EstimationImpossible",
+    "probe",
     "run_probes",
     "predict_nmax",
     "predict_runtime",
@@ -40,11 +41,13 @@ DEFAULT_TAIL_POINTS = 4
 
 
 class EstimationImpossible(RuntimeError):
-    """Fewer than two completed probes; no regression possible."""
+    """Fewer than two probes to fit; no regression possible."""
 
 
 @dataclass
 class ProbeResult:
+    """One timed evolve at one threshold: a probe, or a step of the convergence sweep."""
+
     delta: float
     n_max: int
     k_star: int
@@ -121,6 +124,22 @@ def trivial_bound(norm: float, delta: float) -> float:
     return (norm / delta) ** 2
 
 
+def probe(
+    circuit: Circuit, observable: PauliSum, delta: float,
+    budget_s: float | None = None, row_cap: int | None = None,
+) -> ProbeResult:
+    """Time one evolve at ``delta``; a stop at a limit raises its Aborted."""
+    t0 = time.monotonic()
+    final, trace = evolve(circuit, observable, delta, budget_s=budget_s, row_cap=row_cap)
+    runtime = time.monotonic() - t0
+    k_star = trace.k_star
+    norm_at = trace.gates[k_star - 1].norm_after if trace.gates else observable.raw_norm()
+    return ProbeResult(
+        delta=delta, n_max=trace.n_max, k_star=k_star, norm_at_k_star=norm_at,
+        runtime_s=runtime, gate_count=len(trace.gates), expectation=expectation(final),
+    )
+
+
 def run_probes(
     circuit: Circuit,
     observable: PauliSum,
@@ -130,15 +149,15 @@ def run_probes(
     budget_s: float | None = None,
     row_cap: int | None = None,
 ) -> ProbeSeries:
-    """Evolve at delta_i = ratio^i * delta_0 for i = 0..count-1.
+    """Probe at delta_i = ratio^i * delta_0 for i = 0..count-1.
 
-    Stops early when the wall budget runs out.  Fewer than two completed
-    probes raises BudgetExceeded when the budget cut the series short, and
-    EstimationImpossible otherwise.  A probe past ``row_cap`` rows raises
-    RowCapExceeded.
+    A count below two raises EstimationImpossible before any probe runs.
+    The series stops early when the wall budget runs out, and raises
+    BudgetExceeded if that leaves fewer than two probes.  A probe past
+    ``row_cap`` rows raises RowCapExceeded.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if count < 2:
+        raise EstimationImpossible(f"count must be >= 2 for a regression, got {count}")
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
     series = ProbeSeries(
@@ -147,31 +166,21 @@ def run_probes(
     )
     start = time.monotonic()
     for i in range(count):
-        delta_i = (ratio**i) * delta_0
         remaining = None
         if budget_s is not None:
             remaining = budget_s - (time.monotonic() - start)
             if remaining <= 0:
                 series.budget_exhausted = True
                 break
-        t0 = time.monotonic()
         try:
-            final, trace = evolve(circuit, observable, delta_i, budget_s=remaining, row_cap=row_cap)
+            series.probes.append(
+                probe(circuit, observable, (ratio**i) * delta_0, budget_s=remaining, row_cap=row_cap)
+            )
         except BudgetExceeded:
             series.budget_exhausted = True
             break
-        runtime = time.monotonic() - t0
-        k_star = trace.k_star
-        norm_at = trace.gates[k_star - 1].norm_after if trace.gates else series.initial_norm
-        series.probes.append(
-            ProbeResult(
-                delta=delta_i, n_max=trace.n_max, k_star=k_star, norm_at_k_star=norm_at,
-                runtime_s=runtime, gate_count=len(trace.gates), expectation=expectation(final),
-            )
-        )
     if len(series.probes) < 2:
-        error = BudgetExceeded if series.budget_exhausted else EstimationImpossible
-        raise error(f"only {len(series.probes)} probe(s) completed; need at least 2 for regression")
+        raise BudgetExceeded(f"the budget left {len(series.probes)} probe(s); a regression needs 2")
     return series
 
 
@@ -261,13 +270,8 @@ def predict_resources(
     """Combined N_max and runtime prediction (one report object)."""
     n_pred = predict_nmax(series, targets)
     t_pred = predict_runtime(series.probes, targets, tail_points=tail_points)
-    return ResourcePrediction(
-        targets=n_pred.targets,
-        n_max=n_pred.n_max,
-        runtime_s=t_pred.runtime_s,
-        nmax_fit=n_pred.nmax_fit,
-        runtime_fit=t_pred.runtime_fit,
-        low_confidence=n_pred.low_confidence,
+    return replace(
+        n_pred, runtime_s=t_pred.runtime_s, runtime_fit=t_pred.runtime_fit,
         notes=n_pred.notes + t_pred.notes,
     )
 

@@ -369,6 +369,33 @@ class TestConverge:
         assert manifest["config"]["max_rows"] == 1
         assert not (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize("theta_x, flags, line", [
+        (math.pi / 2, [], "status = apparently_converged; estimate = 0.0 (window [0.0, 0.0, 0.0])"),
+        (0.45, ["--max-steps", "2", "--eps-tol", "1e-12"],
+         "status = step_limit; estimate range = (0.8420825352769852, 0.8420825352769852)"),
+    ], ids=["converged", "unconverged"])
+    def test_verdict_line(self, tmp_path, capsys, theta_x, flags, line):
+        circuit = tmp_path / "circ.json"
+        main([
+            "gen-circuit", "kicked-ising", "--topology", "grid_2x3", "--T", "3",
+            "--theta-zz", str(-math.pi / 2), "--theta-x", str(theta_x), "--out", str(circuit),
+        ])
+        capsys.readouterr()
+        code = main([
+            "converge", "--circuit", str(circuit), "--observable", "Z2",
+            "--out-dir", str(tmp_path / "conv"), *flags,
+        ])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == line
+
+    def test_invalid_config_writes_nothing(self, small_circuit, tmp_path):
+        code = main([
+            "converge", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--ell", "1", "--out-dir", str(tmp_path / "conv"),
+        ])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "conv").exists()
+
     def test_row_cap_stays_out_of_report(self, small_circuit, tmp_path):
         reports = []
         for cap in ([], ["--max-rows", "1000000"]):
@@ -434,6 +461,7 @@ class TestEstimate:
             "--out-dir", str(tmp_path / "est"),
         ])
         assert code == EXIT_USAGE
+        assert not (tmp_path / "est").exists()
 
     def test_targets_coarser_than_probes_rejected(self, small_circuit, tmp_path):
         code = main([
@@ -511,6 +539,24 @@ class TestAnalyze:
 
     def test_nothing_to_do_usage(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path / "x")]) == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--histogram", "--mle"],
+        ["--histogram", "--regression"],
+        ["--histogram", "--s-theta", "--delta", "1e-4"],
+        ["--histogram", "--trace", "TRACE"],
+    ], ids=["mle-without-delta", "regression-without-delta", "s-theta-without-m",
+            "trace-without-spikes"])
+    def test_usage_error_writes_nothing(self, tmp_path, rng, flags):
+        # each case asks for a histogram first, which would be written before the error
+        trace_csv = tmp_path / "trace.csv"
+        trace_csv.write_text("k,theta,phi,eta,n_before,n_after,truncated,norm,elapsed_ns\n")
+        snapshot = ["--snapshot", str(self._snapshot(tmp_path, rng))]
+        flags = [str(trace_csv) if f == "TRACE" else f for f in flags]
+        out_dir = tmp_path / "ana"
+        assert main(["analyze", *snapshot, *flags, "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command, flag, function", [

@@ -7,33 +7,23 @@ from pauliprop.convergence import (
     STATUS_BUDGET,
     STATUS_CONVERGED,
     STATUS_STEP_LIMIT,
-    Classification,
     ConvergenceConfig,
     ConvergenceReport,
-    ConvergenceStep,
-    classify,
     run_protocol,
 )
+from pauliprop.estimator import ProbeResult
 
 
-def _report_from_estimates(estimates, eps_tol=1e-2, ell=3, status=None):
+def _report(estimates, status, eps_tol=1e-2, ell=3, runtimes=None):
+    """A report as the sweep leaves it: config, steps and status; the verdict is derived."""
     config = ConvergenceConfig(eps_tol=eps_tol, ell=ell, t_cpu_s=60.0)
-    report = ConvergenceReport(config=config)
-    for n, est in enumerate(estimates):
-        report.steps.append(
-            ConvergenceStep(n=n, delta=config.delta_at(n), estimate=est, runtime_s=0.1, n_max=10)
-        )
-    ests = list(estimates)
-    if status is None:
-        window = ests[-ell:]
-        status = STATUS_CONVERGED if len(ests) >= ell and max(window) - min(window) <= eps_tol else STATUS_STEP_LIMIT
-    report.status = status
-    if status == STATUS_CONVERGED:
-        report.final_estimate = ests[-1]
-        report.window = ests[-ell:]
-    if ests:
-        report.estimate_range = (min(ests), max(ests))
-    return report
+    runtimes = runtimes or [0.1] * len(estimates)
+    steps = [
+        ProbeResult(delta=config.delta_at(n), n_max=10, k_star=1, norm_at_k_star=1.0,
+                    runtime_s=rt, gate_count=1, expectation=est)
+        for n, (est, rt) in enumerate(zip(estimates, runtimes))
+    ]
+    return ConvergenceReport(config=config, steps=steps, status=status)
 
 
 class TestConfig:
@@ -72,16 +62,15 @@ class TestRunProtocol:
         config = ConvergenceConfig(ell=3, t_cpu_s=60.0)
         report = run_protocol(circ, obs, config)
         assert report.status == STATUS_CONVERGED
-        assert len(report.steps) == 3
-        assert report.steps[-1].n == 2
+        assert len(report.steps) == 3  # steps 0, 1 and 2
         assert len(set(report.window)) == 1  # exact at every delta
 
     def test_deltas_follow_schedule(self):
         circ, obs = self._generic_problem()
         config = ConvergenceConfig(delta_0=0.25, ratio=0.5, ell=3, t_cpu_s=60.0, max_steps=5)
         report = run_protocol(circ, obs, config)
-        for step in report.steps:
-            assert step.delta == config.delta_at(step.n)
+        for n, step in enumerate(report.steps):
+            assert step.delta == config.delta_at(n)
 
     def test_step_limit_status(self):
         circ, obs = self._generic_problem()
@@ -105,7 +94,7 @@ class TestRunProtocol:
         r_small = run_protocol(circ, obs, small)
         r_big = run_protocol(circ, obs, big)
         for a, b in zip(r_small.steps, r_big.steps):
-            assert a.delta == b.delta and a.estimate == b.estimate
+            assert a.delta == b.delta and a.expectation == b.expectation
 
     def test_extrapolation_present_after_two_steps(self):
         circ, obs = self._generic_problem()
@@ -118,42 +107,42 @@ class TestRunProtocol:
         config = ConvergenceConfig(ell=3, t_cpu_s=60.0, max_steps=5, eps_tol=1e-9)
         a = run_protocol(circ, obs, config)
         b = run_protocol(circ, obs, config)
-        assert [s.estimate for s in a.steps] == [s.estimate for s in b.steps]
+        assert a.estimates() == b.estimates()
         assert [s.n_max for s in a.steps] == [s.n_max for s in b.steps]
 
 
-class TestClassify:
+class TestDerivedVerdict:
     def test_converged_window(self):
-        report = _report_from_estimates([0.3, 0.511, 0.509, 0.510])
-        verdict = classify(report)
-        assert verdict.kind == "converged"
-        assert verdict.value == 0.510
-        assert verdict.window == [0.511, 0.509, 0.510]
+        report = _report([0.3, 0.511, 0.509, 0.510], STATUS_CONVERGED)
+        assert report.final_estimate == 0.510
+        assert report.window == [0.511, 0.509, 0.510]
+        assert report.estimate_range == (0.3, 0.511)
 
     def test_oscillation_unconverged(self):
-        report = _report_from_estimates([0.1, 0.2, 0.1, 0.2, 0.1])
-        verdict = classify(report)
-        assert verdict.kind == "unconverged"
-        lo, hi = verdict.estimate_range
-        assert hi - lo >= 0.1
+        report = _report([0.1, 0.2, 0.1, 0.2, 0.1], STATUS_STEP_LIMIT)
+        assert report.estimate_range == (0.1, 0.2)
+        assert report.final_estimate is None and report.window == []
+        assert not report.local_minimum_risk
 
     def test_single_step_unconverged(self):
-        report = _report_from_estimates([0.42])
-        verdict = classify(report)
-        assert verdict.kind == "unconverged"
+        report = _report([0.42], STATUS_BUDGET)
+        assert report.final_estimate is None and report.window == []
+        assert report.estimate_range == (0.42, 0.42)
+        assert report.extrapolated_runtime_s is None
 
-    def test_empty_report_rejected(self):
-        config = ConvergenceConfig()
-        with pytest.raises(ValueError):
-            classify(ConvergenceReport(config=config))
+    def test_no_steps(self):
+        report = ConvergenceReport(config=ConvergenceConfig(), status=STATUS_BUDGET)
+        assert report.estimate_range is None and report.window == []
 
-    def test_is_dataclass_contract(self):
-        assert isinstance(classify(_report_from_estimates([0.1])), Classification)
+    def test_runtime_extrapolation_of_next_two_steps(self):
+        # runtime doubling each time delta halves extrapolates to 4 s and 8 s
+        report = _report([0.5, 0.4], STATUS_STEP_LIMIT, runtimes=[1.0, 2.0])
+        assert report.extrapolated_runtime_s == pytest.approx([4.0, 8.0])
 
 
 class TestReportPayload:
     def test_timing_split(self):
-        report = _report_from_estimates([0.5, 0.5, 0.5])
+        report = _report([0.5, 0.5, 0.5], STATUS_CONVERGED)
         data = report.to_json_dict()
         assert "extrapolated_runtime_s" not in data
         assert all("runtime_s" not in step for step in data["steps"])
@@ -161,15 +150,28 @@ class TestReportPayload:
         assert timings["runtimes_s"] == [s.runtime_s for s in report.steps]
 
     def test_local_minimum_risk_flag(self):
-        # converged window preceded by a fluctuation larger than eps_tol
-        config = ConvergenceConfig(eps_tol=1e-2, ell=3, t_cpu_s=60.0)
-        report = ConvergenceReport(config=config)
-        for n, est in enumerate([0.9, 0.3, 0.501, 0.499, 0.500]):
-            report.steps.append(
-                ConvergenceStep(n=n, delta=config.delta_at(n), estimate=est, runtime_s=0.1, n_max=5)
-            )
-        report.status = STATUS_CONVERGED
-        from pauliprop.convergence import _finish
+        # a converged window preceded by a fluctuation larger than eps_tol
+        assert _report([0.9, 0.3, 0.501, 0.499, 0.500], STATUS_CONVERGED).local_minimum_risk
+        # the widened window still agrees, or nothing precedes the window
+        assert not _report([0.505, 0.501, 0.499, 0.500], STATUS_CONVERGED).local_minimum_risk
+        assert not _report([0.501, 0.499, 0.500], STATUS_CONVERGED).local_minimum_risk
 
-        _finish(report)
-        assert report.local_minimum_risk
+    def test_json_dict_literal(self):
+        report = _report([0.25, 0.5, 0.5, 0.5], STATUS_CONVERGED, ell=2)
+        assert report.to_json_dict() == {
+            "config": {
+                "delta_0": 0.125, "ratio": 0.5, "eps_tol": 1e-2, "ell": 2, "t_cpu_s": 60.0,
+                "max_steps": 40, "cumulative_budget_s": None,
+            },
+            "steps": [
+                {"n": 0, "delta": 0.125, "estimate": 0.25, "n_max": 10},
+                {"n": 1, "delta": 0.0625, "estimate": 0.5, "n_max": 10},
+                {"n": 2, "delta": 0.03125, "estimate": 0.5, "n_max": 10},
+                {"n": 3, "delta": 0.015625, "estimate": 0.5, "n_max": 10},
+            ],
+            "status": "apparently_converged",
+            "final_estimate": 0.5,
+            "window": [0.5, 0.5],
+            "estimate_range": [0.25, 0.5],
+            "local_minimum_risk": False,
+        }

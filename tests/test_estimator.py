@@ -182,7 +182,13 @@ class TestRunProbes:
         for p in series.probes:
             assert p.n_max <= trivial_bound(1.0, p.delta)
 
-    def test_count_one_impossible(self):
+    def test_count_one_impossible(self, monkeypatch):
+        from pauliprop import estimator
+
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("a count below two must fail before any probe runs")
+
+        monkeypatch.setattr(estimator, "evolve", no_evolve)
         circ, obs = self._small_problem()
         with pytest.raises(EstimationImpossible):
             run_probes(circ, obs, count=1)
