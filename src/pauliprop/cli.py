@@ -316,6 +316,10 @@ def cmd_estimate(args) -> int:
 
     if args.count < 2:
         raise UsageError(f"--count must be at least 2 for a regression, got {args.count}")
+    if not 0.0 < args.ratio < 1.0:
+        raise UsageError(f"--ratio must lie in (0, 1), got {args.ratio}")
+    if args.tail_points < 0 or args.tail_points == 1:
+        raise UsageError(f"--tail-points must be 0 (all) or at least 2, got {args.tail_points}")
     targets = _parse_float_list(args.targets)
     if not targets:
         raise UsageError("--targets must list at least one delta")

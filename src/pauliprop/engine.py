@@ -326,11 +326,16 @@ def _scan(bits, words):
     """Anti-commuting row slots, those rows, and their partner slots.
 
     A partner slot is -1 when the row bits ^ words is absent; the partner
-    search is skipped (pos is None) when no row anti-commutes.
+    search is skipped (pos is None) when no row anti-commutes.  A partner
+    anti-commutes too (<P ^ s, s> = <P, s> + <s, s>), so the search runs over
+    the anti rows alone, which ascend with anti_idx, and maps hits back.
     """
     anti_idx = np.flatnonzero(kernels.anti_mask(bits, words))
     anti_bits = _take(bits, anti_idx)
-    pos = kernels.find_rows(bits, anti_bits ^ words) if len(anti_idx) else None
+    pos = None
+    if len(anti_idx):
+        hit = kernels.find_rows(anti_bits, anti_bits ^ words)
+        pos = np.concatenate((anti_idx, [-1]))[hit]  # a miss (-1) reads the appended -1
     return anti_idx, anti_bits, pos
 
 

@@ -241,13 +241,15 @@ def predict_nmax(series: ProbeSeries, targets) -> ResourcePrediction:
 
 
 def predict_runtime(runs, targets, tail_points: int = DEFAULT_TAIL_POINTS) -> ResourcePrediction:
-    """Fit log runtime vs log(1/delta) on the last tail_points runs only.
+    """Fit log runtime vs log(1/delta) on the last tail_points runs only (all when 0).
 
     ``runs`` are completed runs in order of decreasing delta, anything with
     ``.delta`` and ``.runtime_s``.  The tail restriction guards against the
     documented transition in the runtime exponent; a non-positive slope
     flags the series pre-asymptotic instead of erroring.
     """
+    if tail_points < 0:
+        raise ValueError(f"tail_points must be 0 (all runs) or positive, got {tail_points}")
     targets = [float(t) for t in targets]
     probes = runs[-tail_points:] if tail_points else runs
     if len(probes) < 2:

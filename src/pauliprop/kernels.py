@@ -60,18 +60,27 @@ def anti_mask(bits, sigma):
     return (np.bitwise_count(acc) & 1).astype(bool)
 
 
+_SIGN_OF_PHASE = np.array([1, 0, -1, 0], dtype=np.int8)
+
+
 def branch_signs(bits, sigma, sigma_alpha):
     """Real sign (+1/-1) of each row's branch i*sigma*P in canonical form.
 
     0 marks a non-Hermitian result, which only a corrupt state produces.
+    The phase is Y(P) + alpha + 2*(z_P . x_sigma) - 1 - Y(P ^ sigma) mod 4,
+    and every term but alpha - 1 vanishes in a word where sigma is zero, so
+    only the generator's support words are read.  The uint8 accumulator
+    wraps mod 256, a multiple of 4.
     """
     w = bits.shape[1] // 2
-    y_p = np.bitwise_count(bits[:, :w] & bits[:, w:]).sum(axis=1, dtype=np.int64)
-    cross = np.bitwise_count(bits[:, :w] & sigma[w:]).sum(axis=1, dtype=np.int64)
-    target = bits ^ sigma
-    y_t = np.bitwise_count(target[:, :w] & target[:, w:]).sum(axis=1, dtype=np.int64)
-    diff = (y_p + int(sigma_alpha) + 2 * cross - 1 - y_t) % 4
-    return np.where(diff == 0, 1, np.where(diff == 2, -1, 0)).astype(np.int8)
+    sz, sx = sigma[:w], sigma[w:]
+    phase = np.full(bits.shape[0], (int(sigma_alpha) - 1) % 4, dtype=np.uint8)
+    for j in np.flatnonzero(sz | sx):
+        z, x = bits[:, j], bits[:, w + j]
+        phase += np.bitwise_count(z & x)
+        phase += 2 * np.bitwise_count(z & sx[j])
+        phase -= np.bitwise_count((z ^ sz[j]) & (x ^ sx[j]))
+    return _SIGN_OF_PHASE[phase & 3]
 
 
 def find_rows(bits_sorted, queries):

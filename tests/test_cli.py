@@ -463,6 +463,23 @@ class TestEstimate:
         assert code == EXIT_USAGE
         assert not (tmp_path / "est").exists()
 
+    @pytest.mark.parametrize("option", [
+        ["--ratio", "1.5"], ["--ratio", "1"], ["--tail-points", "1"], ["--tail-points", "-1"],
+    ], ids=["ratio-1.5", "ratio-1", "tail-points-1", "tail-points-neg"])
+    def test_bad_option_fails_before_probing(self, small_circuit, tmp_path, monkeypatch, option):
+        from pauliprop import estimator
+
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("a usage error must fail before any probe runs")
+
+        monkeypatch.setattr(estimator, "evolve", no_evolve)
+        code = main([
+            "estimate", "--circuit", str(small_circuit), "--observable", "Z2",
+            "--delta0", "0.05", "--targets", "0.0001", *option, "--out-dir", str(tmp_path / "est"),
+        ])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "est").exists()
+
     def test_targets_coarser_than_probes_rejected(self, small_circuit, tmp_path):
         code = main([
             "estimate", "--circuit", str(small_circuit), "--observable", "Z2",

@@ -518,6 +518,46 @@ class TestLightCone:
         assert norms == [1.0, norms[1], norms[1], norms[1]]
 
 
+def _scan_reference(bits, words):
+    """The whole-state partner search: every query against every row."""
+    anti_idx = np.flatnonzero(kernels.anti_mask(bits, words))
+    anti_bits = bits[anti_idx]
+    pos = kernels.find_rows(bits, anti_bits ^ words) if len(anti_idx) else None
+    return anti_idx, anti_bits, pos
+
+
+@st.composite
+def _scan_problems(draw):
+    """A keyed, canonically sorted state holding some rows together with their
+    partners row ^ sigma, and the keyed generator sigma."""
+    w = draw(st.integers(1, 3))
+    width = 2 * w
+    # small words as well as full-range ones, so that rows share leading words
+    word = st.integers(0, 3) | st.sampled_from([2**63, 2**64 - 1, 256]) | st.integers(0, 2**64 - 1)
+    sigma = np.array(draw(st.lists(word, min_size=width, max_size=width)), dtype=np.uint64)
+    rows = draw(st.lists(st.tuples(st.lists(word, min_size=width, max_size=width), st.booleans()),
+                         max_size=30))
+    native = [np.array(r, dtype=np.uint64) for r, _ in rows]
+    native += [np.array(r, dtype=np.uint64) ^ sigma for r, paired in rows if paired]
+    bits = np.unique(np.array(native, dtype=np.uint64).reshape(-1, width), axis=0).byteswap()
+    return np.ascontiguousarray(bits[kernels.sort_order(bits)]), sigma.byteswap()
+
+
+class TestScan:
+    @settings(max_examples=200, deadline=None)
+    @given(_scan_problems())
+    def test_partner_slots_match_whole_state_search(self, problem):
+        bits, words = problem
+        anti_idx, anti_bits, pos = engine._scan(bits, words)
+        ref_idx, ref_bits, ref_pos = _scan_reference(bits, words)
+        assert np.array_equal(anti_idx, ref_idx)
+        assert anti_bits.tobytes() == ref_bits.tobytes()
+        if ref_pos is None:
+            assert pos is None
+        else:
+            assert pos.dtype == np.int64 and pos.tolist() == ref_pos.tolist()
+
+
 @st.composite
 def _frame_problems(draw):
     """Up to 6 qubits: exact quarter and half turns among other angles, some

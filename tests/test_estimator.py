@@ -131,6 +131,11 @@ class TestPredictRuntime:
         with pytest.raises(EstimationImpossible):
             predict_runtime(series.probes, [1e-4], tail_points=1)
 
+    def test_negative_tail_rejected(self):
+        series = _series([0.02, 0.01, 0.005], [5, 9, 14])
+        with pytest.raises(ValueError):
+            predict_runtime(series.probes, [1e-4], tail_points=-1)
+
 
 class TestGapFormula:
     def test_equal_deltas_zero(self):

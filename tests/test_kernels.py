@@ -122,3 +122,53 @@ class TestKeyedSearch:
         found = [i if i < len(rows) and rows[i] == q else -1 for i, q in zip(slots, queries)]
         assert kernels.lower_bound(keyed, keyed_queries).tolist() == slots
         assert kernels.find_rows(keyed, keyed_queries).tolist() == found
+
+
+def _branch_signs_reference(bits, sigma, sigma_alpha):
+    """The full-width formula: Y(P), the cross term and Y(P ^ sigma) over every word."""
+    w = bits.shape[1] // 2
+    y_p = np.bitwise_count(bits[:, :w] & bits[:, w:]).sum(axis=1, dtype=np.int64)
+    cross = np.bitwise_count(bits[:, :w] & sigma[w:]).sum(axis=1, dtype=np.int64)
+    target = bits ^ sigma
+    y_t = np.bitwise_count(target[:, :w] & target[:, w:]).sum(axis=1, dtype=np.int64)
+    diff = (y_p + int(sigma_alpha) + 2 * cross - 1 - y_t) % 4
+    return np.where(diff == 0, 1, np.where(diff == 2, -1, 0)).astype(np.int8)
+
+
+@st.composite
+def _sign_problems(draw):
+    """Native rows and a generator whose z and x support words are drawn apart:
+    one word, several, all or none of them, so z and x may sit in different
+    words.  The phase offset from canonical alpha is 0 or 2 (the two
+    orientations) or odd (a non-Hermitian generator)."""
+    w = draw(st.integers(1, 4))
+    width = 2 * w
+    rows = draw(st.lists(st.lists(_WORD, min_size=width, max_size=width), max_size=40))
+    support = st.one_of(
+        st.just(list(range(w))),
+        st.integers(0, w - 1).map(lambda j: [j]),
+        st.sets(st.integers(0, w - 1)).map(sorted),
+    )
+    sigma = [0] * width
+    for half in (0, w):
+        for j in draw(support):
+            sigma[half + j] = draw(st.integers(1, 2**64 - 1))
+    offset = draw(st.integers(0, 3))
+    bits = np.array(rows, dtype=np.uint64).reshape(len(rows), width)
+    return bits, np.array(sigma, dtype=np.uint64), offset
+
+
+class TestBranchSigns:
+    @settings(max_examples=300, deadline=None)
+    @given(_sign_problems())
+    def test_support_words_match_full_width(self, problem):
+        bits, sigma, offset = problem
+        w = len(sigma) // 2
+        canon = sum(int(z & x).bit_count() for z, x in zip(sigma[:w], sigma[w:])) % 4
+        alpha = canon + offset
+        got = kernels.branch_signs(bits.byteswap(), sigma.byteswap(), alpha)
+        assert got.dtype == np.int8 and got.shape == (len(bits),)
+        assert np.array_equal(got, _branch_signs_reference(bits, sigma, alpha))
+        # i*sigma*P is Hermitian exactly when P anti-commutes and alpha is real
+        anti = _anti_reference(bits, sigma)
+        assert np.all((got[anti] != 0) == (offset % 2 == 0))
