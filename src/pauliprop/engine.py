@@ -6,8 +6,9 @@ generator.  Commuting rows pass through; anti-commuting rows rotate in the
 branching a new row otherwise.  The angle's exact quarter turns are folded
 into that one rotation's cos and sin, so every coefficient gets a single
 update.  The coefficient threshold is applied to the observable once on
-entry and then once per gate; a gate that at most flips signs (no
-anti-commuting row, or a multiple of pi) skips it.
+entry and then, per gate, only to the rows the gate changed: the
+anti-commuting rows and their new branches.  A gate that at most flips
+signs (no anti-commuting row, or a multiple of pi) skips it.
 
 Exact odd quarter turns (cos = 0) are Clifford maps: they only relabel rows
 and flip signs, and truncate nothing.  :func:`evolve` absorbs them into a
@@ -37,8 +38,10 @@ memory, so a row's bytes are its sort key: the state's words are swapped
 once on entry and a generator's once when it is prepared, and every state
 that leaves (the final state, snapshots, the peak snapshot and the partial
 state of an abort) is swapped back to the :class:`PauliSum` layout.  Every
-row move in a gate (gathers, threshold compaction and the merge's scatters)
-moves each row as one fixed-width item.
+row move in a gate (the scan's gathers and the splice) moves each row as one
+fixed-width item.  The splice builds the next state in one copy: one gather
+of the kept rows, with the dropped rows left out, then one scatter of the
+new rows into their places.
 """
 
 from __future__ import annotations
@@ -229,8 +232,14 @@ def _rows(bits):
 
 
 def _take(bits, index):
-    """bits[index] (slots or a mask), moving each row as one item."""
-    return _rows(bits)[index].view(np.uint64).reshape(-1, bits.shape[1])
+    """bits[index] (slots or a mask), moving each row as one item.
+
+    np.take and np.compress move void items about three times faster than
+    fancy indexing does.
+    """
+    rows = _rows(bits)
+    picked = np.compress(index, rows) if index.dtype == bool else np.take(rows, index)
+    return picked.view(np.uint64).reshape(-1, bits.shape[1])
 
 
 def _as_int(words: np.ndarray) -> int:
@@ -296,25 +305,14 @@ def _true_state(n, bits, coeffs, frame, owned=False) -> PauliSum:
 # ---------------------------------------------------------------------------
 
 
-def _merge_arrays(bits, coeffs, new_bits, new_coeffs, pos):
-    """Insert a sorted new block at the given searchsorted positions."""
-    n, m = len(coeffs), len(new_coeffs)
-    out_bits = np.empty((n + m, bits.shape[1]), np.uint64)
-    out_coeffs = np.empty(n + m, np.float64)
-    out_rows = _rows(out_bits)
-    new_at = pos + np.arange(m)
-    old_mask = np.ones(n + m, bool)
-    old_mask[new_at] = False
-    out_rows[new_at] = _rows(new_bits)
-    out_coeffs[new_at] = new_coeffs
-    out_rows[old_mask] = _rows(bits)
-    out_coeffs[old_mask] = coeffs
-    return out_bits, out_coeffs
+def _passes(coeffs, delta):
+    """Rows with |c| >= delta (nonzero rows at delta = 0)."""
+    return np.abs(coeffs) >= delta if delta > 0 else coeffs != 0.0
 
 
 def _threshold(bits, coeffs, delta):
-    """Keep rows with |c| >= delta (nonzero rows at delta = 0); also the drop count."""
-    keep = np.abs(coeffs) >= delta if delta > 0 else coeffs != 0.0
+    """Keep the rows that pass the threshold; also the drop count."""
+    keep = _passes(coeffs, delta)
     dropped = int(len(coeffs) - np.count_nonzero(keep))
     if dropped:
         bits = _take(bits, keep)
@@ -327,16 +325,60 @@ def _scan(bits, words):
 
     A partner slot is -1 when the row bits ^ words is absent; the partner
     search is skipped (pos is None) when no row anti-commutes.  A partner
-    anti-commutes too (<P ^ s, s> = <P, s> + <s, s>), so the search runs over
-    the anti rows alone, which ascend with anti_idx, and maps hits back.
+    anti-commutes too (<P ^ s, s> = <P, s> + <s, s>), and it differs from
+    its row in every bit of the generator.  So the anti rows are split by
+    one such bit, the smaller side's partners are searched for in the
+    other side (both ascend with anti_idx), and each pair found writes the
+    partner slot of both its rows.
     """
     anti_idx = np.flatnonzero(kernels.anti_mask(bits, words))
     anti_bits = _take(bits, anti_idx)
     pos = None
     if len(anti_idx):
-        hit = kernels.find_rows(anti_bits, anti_bits ^ words)
-        pos = np.concatenate((anti_idx, [-1]))[hit]  # a miss (-1) reads the appended -1
+        col = int(np.flatnonzero(words)[0])  # some row anti-commutes, so words is nonzero
+        word = int(words[col])
+        split = (anti_bits[:, col] & np.uint64(word & -word)) != 0
+        ones, zeros = np.flatnonzero(split), np.flatnonzero(~split)
+        small, large = (ones, zeros) if len(ones) <= len(zeros) else (zeros, ones)
+        pos = np.full(len(anti_idx), -1, np.int64)
+        if len(small):
+            queries = _take(anti_bits, small)
+            queries ^= words
+            hit = kernels.find_rows(_take(anti_bits, large), queries)
+            small, partner = small[hit >= 0], large[hit[hit >= 0]]
+            pos[small] = anti_idx[partner]
+            pos[partner] = anti_idx[small]
     return anti_idx, anti_bits, pos
+
+
+def _splice(bits, coeffs, changed, delta, new_bits, new_coeffs):
+    """Drop the rows at the ascending slots changed that fail the threshold,
+    and insert a sorted block of rows absent from the state, in one copy.
+
+    Every other row must pass the threshold.  Returns the arrays, untouched
+    when no row moves, and the drop count.  A new row's lower bound in the
+    state before the drops, less the drops below it, is the kept row it goes
+    before.  Each output row has one source slot; the new rows' slots are
+    placeholders, overwritten after the gather.
+    """
+    drops = changed[~_passes(coeffs[changed], delta)]
+    n_new = len(new_coeffs)
+    if not (len(drops) or n_new):
+        return bits, coeffs, 0
+    at = np.empty(0, np.int64)
+    if n_new:
+        ins = kernels.lower_bound(bits, new_bits)
+        at = ins - np.searchsorted(drops, ins) + np.arange(n_new)
+    kept = np.ones(len(coeffs), bool)
+    kept[drops] = False
+    old_at = np.ones(len(coeffs) - len(drops) + n_new, bool)
+    old_at[at] = False
+    src = np.zeros(len(old_at), np.intp)
+    src[old_at] = np.flatnonzero(kept)
+    out_bits, out_coeffs = _take(bits, src), np.take(coeffs, src)
+    _rows(out_bits)[at] = _rows(new_bits)
+    out_coeffs[at] = new_coeffs
+    return out_bits, out_coeffs, len(drops)
 
 
 def _fold(angle):
@@ -385,7 +427,7 @@ def _gate(bits, coeffs, prep, theta, delta, row_cap):
         raise InvariantViolation("non-Hermitian branch phase; state is corrupt")
     signs = signs.astype(np.float64)
 
-    # the branched rows: thresholded, then sorted for the merge
+    # the branched rows: thresholded, then sorted for the splice
     unpaired = ~paired
     unpaired_rows = anti_idx[unpaired]
     branched = _take(anti_bits, unpaired)
@@ -393,8 +435,8 @@ def _gate(bits, coeffs, prep, theta, delta, row_cap):
     new_bits, new_coeffs, new_dropped = _threshold(
         branched, coeffs[unpaired_rows] * (sin_t * signs[unpaired]), delta
     )
-    # free the gathered rows before the full-state threshold and merge,
-    # which set the peak memory of the gate
+    # free the gathered rows before the splice, which sets the peak memory
+    # of the gate
     del anti_bits, branched
     if len(new_coeffs):
         order = kernels.sort_order(new_bits)
@@ -408,12 +450,8 @@ def _gate(bits, coeffs, prep, theta, delta, row_cap):
             coeffs[paired_rows] * cos_t + coeffs[pos[paired]] * (sin_t * -signs[paired])
         )
     coeffs[unpaired_rows] *= cos_t
-    # both blocks are thresholded before the merge, so the merged copy never
-    # holds a row that is about to be dropped
-    bits, coeffs, dropped = _threshold(bits, coeffs, delta)
-    if len(new_coeffs):
-        ins = kernels.lower_bound(bits, new_bits)
-        bits, coeffs = _merge_arrays(bits, coeffs, new_bits, new_coeffs, ins)
+    # only the anti rows' coefficients changed
+    bits, coeffs, dropped = _splice(bits, coeffs, anti_idx, delta, new_bits, new_coeffs)
     return bits, coeffs, phi, eta, dropped + new_dropped - vacated, False
 
 

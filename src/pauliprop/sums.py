@@ -150,10 +150,25 @@ class PauliSum:
 
     @classmethod
     def from_npz(cls, path) -> "PauliSum":
-        """Load a binary snapshot in any row order; a repeated row is an error."""
+        """Load a binary snapshot in any row order.
+
+        Rows of the wrong type or width, a coefficient count other than the
+        row count, a bit set past qubit n, a zero coefficient and a repeated
+        row are errors.
+        """
         with np.load(path) as data:
             n = int(data["n"])
             bits, coeffs = data["bits"], data["coeffs"]
+        w = words_per_half(n)
+        if bits.dtype != np.uint64 or bits.shape[1:] != (2 * w,):
+            raise ValueError(f"snapshot {path} has {bits.dtype} rows of shape {bits.shape[1:]}, "
+                             f"not uint64 rows of shape ({2 * w},)")
+        if coeffs.shape != (len(bits),):
+            raise ValueError(f"snapshot {path} has {len(bits)} rows and coefficients of shape {coeffs.shape}")
+        if n % 64 and np.any(bits[:, [w - 1, 2 * w - 1]] >> np.uint64(n % 64)):
+            raise ValueError(f"snapshot {path} sets a bit past qubit {n - 1}")
+        if np.any(coeffs == 0.0):
+            raise ValueError(f"snapshot {path} holds a zero coefficient")
         order = kernels.sort_order(bits.byteswap())
         bits, coeffs = bits[order], coeffs[order]
         if np.any(np.all(bits[1:] == bits[:-1], axis=1)):

@@ -575,6 +575,17 @@ class TestAnalyze:
         assert main(["analyze", *snapshot, *flags, "--out-dir", str(out_dir)]) == EXIT_USAGE
         assert not out_dir.exists()
 
+    def test_corrupt_snapshot_writes_nothing(self, tmp_path, rng):
+        snap = self._snapshot(tmp_path, rng)
+        with np.load(snap) as data:
+            bits, coeffs = data["bits"], data["coeffs"].copy()
+        coeffs[0] = 0.0
+        np.savez_compressed(snap, n=30, bits=bits, coeffs=coeffs)
+        out_dir = tmp_path / "ana"
+        code = main(["analyze", "--snapshot", str(snap), "--histogram", "--out-dir", str(out_dir)])
+        assert code == EXIT_USAGE
+        assert not out_dir.exists()
+
 
 @pytest.mark.parametrize("command, flag, function", [
     ("estimate", "count", run_probes),

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -543,6 +543,28 @@ def _scan_problems(draw):
     return np.ascontiguousarray(bits[kernels.sort_order(bits)]), sigma.byteswap()
 
 
+def _labelled_state(n, labels, sigma):
+    """Keyed, canonically sorted rows of the labels, and the keyed generator."""
+    bits = np.array([PauliString.from_label(label, n).nu_words() for label in labels]).byteswap()
+    sigma_words = PauliString.from_label(sigma, n).nu_words().byteswap()
+    return np.ascontiguousarray(bits[kernels.sort_order(bits)]), sigma_words
+
+
+# The search splits the anti rows by the lowest bit of the generator's first
+# nonzero keyed word: x0 for X0 and for X0*X1, z1 for X0*Z1*Y2 and for Y1,
+# x66 for X66.
+_SCAN_CASES = {
+    # Z0 and Y0 pair, Z0*Z1 does not, Z1 and X0 commute
+    "single-bit": (3, ["Z0", "Y0", "Z0*Z1", "Z1", "X0"], "X0", 2),
+    # three anti rows hold x0 and one does not, so the side without it is searched
+    "larger-side-holds-the-bit": (3, ["Z0", "Y0", "Y0*X2", "Y0*X1"], "X0*X1", 2),
+    "all-paired": (3, ["Z0", "Y0*Z1*Y2", "Z2", "X0*Z1*X2", "X1", "X0*Y1*Y2", "Z1"], "X0*Z1*Y2", 6),
+    "none-paired": (3, ["Z1", "Z0*X1", "Z1*Z2", "Z0"], "Y1", 0),
+    # the generator's only nonzero word is the second word of its x half
+    "second-word": (70, ["Z66", "Y66", "Z66*X3", "Z0"], "X66", 2),
+}
+
+
 class TestScan:
     @settings(max_examples=200, deadline=None)
     @given(_scan_problems())
@@ -556,6 +578,121 @@ class TestScan:
             assert pos is None
         else:
             assert pos.dtype == np.int64 and pos.tolist() == ref_pos.tolist()
+
+    @pytest.mark.parametrize("case", list(_SCAN_CASES.values()), ids=list(_SCAN_CASES))
+    def test_split_search_writes_both_slots_of_each_pair(self, case):
+        n_qubits, labels, sigma, n_paired = case
+        bits, words = _labelled_state(n_qubits, labels, sigma)
+        anti_idx, anti_bits, pos = engine._scan(bits, words)
+        ref_idx, ref_bits, ref_pos = _scan_reference(bits, words)
+        assert np.array_equal(anti_idx, ref_idx)
+        assert anti_bits.tobytes() == ref_bits.tobytes()
+        assert pos.tolist() == ref_pos.tolist()
+        assert int(np.count_nonzero(pos >= 0)) == n_paired
+
+
+class TestTake:
+    @pytest.mark.parametrize("n_rows", [0, 1, 9])
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_matches_fancy_indexing(self, n_rows, width, rng):
+        bits = rng.integers(0, 2**64, size=(n_rows, width), dtype=np.uint64)
+        mask = rng.random(n_rows) < 0.5
+        slots = rng.integers(0, max(n_rows, 1), size=6 if n_rows else 0)
+        for index in (mask, np.flatnonzero(mask), slots, np.zeros(n_rows, bool),
+                      np.ones(n_rows, bool), np.empty(0, np.intp)):
+            got, want = engine._take(bits, index), bits[index]
+            assert got.dtype == np.uint64 and got.flags.c_contiguous
+            assert got.shape == want.shape == (len(want), width)
+            assert got.tobytes() == want.tobytes()
+
+
+def _merge_arrays(bits, coeffs, new_bits, new_coeffs, pos):
+    """Insert a sorted new block at the given searchsorted positions."""
+    n, m = len(coeffs), len(new_coeffs)
+    out_bits = np.empty((n + m, bits.shape[1]), np.uint64)
+    out_coeffs = np.empty(n + m, np.float64)
+    out_rows = engine._rows(out_bits)
+    new_at = pos + np.arange(m)
+    old_mask = np.ones(n + m, bool)
+    old_mask[new_at] = False
+    out_rows[new_at] = engine._rows(new_bits)
+    out_coeffs[new_at] = new_coeffs
+    out_rows[old_mask] = engine._rows(bits)
+    out_coeffs[old_mask] = coeffs
+    return out_bits, out_coeffs
+
+
+def _splice_reference(bits, coeffs, new_bits, new_coeffs, delta):
+    """The splice in two copies: the threshold over the whole state, then the merge."""
+    bits, coeffs, dropped = engine._threshold(bits, coeffs, delta)
+    if len(new_coeffs):
+        bits, coeffs = _merge_arrays(
+            bits, coeffs, new_bits, new_coeffs, kernels.lower_bound(bits, new_bits)
+        )
+    return bits, coeffs, dropped
+
+
+def _sorted_block(entries):
+    """Keyed rows of (key, role, coefficient) entries in canonical order, their
+    coefficients and roles."""
+    bits = np.array([[key, 0] for key, _, _ in entries], np.uint64).reshape(-1, 2).byteswap()
+    order = kernels.sort_order(bits)
+    coeffs = np.array([c for _, _, c in entries], np.float64)[order]
+    return np.ascontiguousarray(bits[order]), coeffs, [entries[i][1] for i in order]
+
+
+@st.composite
+def _splice_problems(draw):
+    """Unique rows, each kept, anti or new, with the coefficient a gate left
+    it: kept and new rows pass the threshold, anti rows may fail it.  A new
+    row is the branch of an anti row, so there are no more new rows than
+    anti rows."""
+    delta = draw(st.sampled_from([0.0, 0.25]))
+    passing = st.floats(0.25, 2.0) | st.floats(-2.0, -0.25)
+    after_gate = passing | st.sampled_from([0.0, -0.0, 0.125, -0.125])
+    entries = []
+    for key in draw(st.lists(st.integers(0, 2**64 - 1), unique=True, max_size=24)):
+        role = draw(st.sampled_from(["kept", "anti", "new"]))
+        entries.append((key, role, draw(after_gate if role == "anti" else passing)))
+    roles = [role for _, role, _ in entries]
+    assume(roles.count("new") <= roles.count("anti"))
+    return entries, delta
+
+
+class TestSplice:
+    @settings(max_examples=300, deadline=None)
+    @given(_splice_problems())
+    # drops at the first and the last slot
+    @example(([(1, "anti", 0.125), (3, "kept", 1.0), (4, "new", 0.5), (5, "anti", 0.5),
+               (7, "anti", -0.125)], 0.25))
+    # new rows before the first row and after the last
+    @example(([(0, "new", 0.5), (1, "new", -0.75), (2, "kept", 1.0), (3, "anti", 0.125),
+               (4, "kept", 1.0), (9, "new", 0.25)], 0.25))
+    @example(([(1, "anti", 0.5), (2, "new", 1.0), (3, "kept", 1.0)], 0.25))  # no drops
+    @example(([(1, "kept", 1.0), (2, "anti", 0.0), (3, "anti", -0.25)], 0.25))  # no new rows
+    @example(([(1, "kept", 1.0), (2, "anti", -0.5)], 0.25))  # no row moves
+    # every row dropped, with and without new rows
+    @example(([(1, "anti", 0.0), (2, "anti", 0.125), (3, "anti", -0.125)], 0.25))
+    @example(([(1, "anti", -0.0), (2, "new", 1.0), (3, "anti", 0.125)], 0.25))
+    # delta = 0 drops both zeros and keeps the rest
+    @example(([(1, "anti", -0.0), (2, "anti", 0.0), (3, "kept", 1.0), (4, "anti", 1e-300),
+               (5, "new", -0.5)], 0.0))
+    def test_matches_threshold_then_merge(self, problem):
+        entries, delta = problem
+        bits, coeffs, roles = _sorted_block([e for e in entries if e[1] != "new"])
+        new_bits, new_coeffs, _ = _sorted_block([e for e in entries if e[1] == "new"])
+        anti = np.flatnonzero(np.array([role == "anti" for role in roles], bool))
+        want_bits, want_coeffs, want_dropped = _splice_reference(
+            bits.copy(), coeffs.copy(), new_bits, new_coeffs, delta
+        )
+        got_bits, got_coeffs, dropped = engine._splice(bits, coeffs, anti, delta, new_bits, new_coeffs)
+        assert dropped == want_dropped
+        assert got_bits.dtype == np.uint64 and got_bits.flags.c_contiguous
+        assert got_bits.shape == (len(got_coeffs), 2)
+        assert got_bits.tobytes() == want_bits.tobytes()
+        assert got_coeffs.tobytes() == want_coeffs.tobytes()
+        if not (dropped or len(new_coeffs)):
+            assert got_bits is bits and got_coeffs is coeffs
 
 
 @st.composite

@@ -6,7 +6,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The benchmark's tracer wraps package names where their callers look them
 # up; a rename that drops one makes install() raise.  It runs in its own
-# process because install() patches the modules for good.
+# process because install() patches the modules for good.  With two kicks
+# the evolve calls every kernel: the second X0 meets Z0 and its partner Y0,
+# so the partner search runs.
 _INSTALL = """
 import sys
 sys.path[:0] = ["src", "perfbench"]
@@ -15,7 +17,7 @@ import pauliprop
 tracer = Tracer()
 tracer.install(with_cli=True)
 circuit = pauliprop.kicked_ising(
-    pauliprop.Topology.grid(1, 2), T=1, theta_zz=0.3, theta_x_spec=pauliprop.FixedAngle(0.2)
+    pauliprop.Topology.grid(1, 2), T=2, theta_zz=0.3, theta_x_spec=pauliprop.FixedAngle(0.2)
 )
 pauliprop.evolve(circuit, pauliprop.PauliSum.from_terms(2, [("Z0", 1.0)]), 0.0)
 print(" ".join(sorted({span[2] for span in tracer.spans})))
@@ -28,4 +30,8 @@ def test_tracer_installs_on_the_package():
     )
     assert done.returncode == 0, done.stderr
     names = set(done.stdout.split())
-    assert {"circuits.build", "sums.from_terms", "engine.evolve", "kernels.anti_mask"} <= names
+    assert {"circuits.build", "sums.from_terms", "engine.evolve"} <= names
+    # a kernel call that moves into the engine would leave its span out of
+    # the trace and its time in engine.self_s
+    kernels = ("anti_mask", "find_rows", "branch_signs", "lower_bound", "sort_order", "pack_keys")
+    assert {f"kernels.{fn}" for fn in kernels} <= names

@@ -155,6 +155,40 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="repeats"):
             PauliSum.from_npz(path)
 
+    @pytest.mark.parametrize("case, match", [
+        ("narrow", "rows of shape"),
+        ("flat", "rows of shape"),
+        ("signed", "int64 rows"),
+        ("extra-coefficient", "coefficients of shape"),
+        ("padding", "past qubit 69"),
+        ("zero", "zero coefficient"),
+    ])
+    def test_npz_corrupt_snapshot_rejected(self, tmp_path, case, match):
+        s = _sum_from(70, [("Z0", 1.0), ("X65", -0.5)])
+        bits, coeffs = s.bits.copy(), s.coeffs.copy()
+        if case == "narrow":  # the rows of an n <= 64 snapshot
+            bits = bits[:, [0, 2]]
+        elif case == "flat":
+            bits = bits.ravel()
+        elif case == "signed":
+            bits = bits.astype(np.int64)
+        elif case == "extra-coefficient":
+            coeffs = np.append(coeffs, 0.25)
+        elif case == "padding":  # qubit 70 of the x half
+            bits[1, 3] |= np.uint64(1 << 6)
+        else:
+            coeffs[1] = 0.0
+        path = tmp_path / "corrupt.npz"
+        np.savez_compressed(path, n=70, bits=bits, coeffs=coeffs)
+        with pytest.raises(ValueError, match=match):
+            PauliSum.from_npz(path)
+
+    def test_npz_full_last_word_loads(self, tmp_path):
+        s = _sum_from(128, [("Z127", 1.0), ("X63*Y64", -0.5)])
+        path = tmp_path / "full.npz"
+        s.to_npz(path)
+        assert PauliSum.from_npz(path).bits.tobytes() == s.bits.tobytes()
+
     def test_csv_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\nZ0,1.0\n")
