@@ -1,9 +1,15 @@
 """Batch command-line surface.
 
-Every command writes its artifacts plus a manifest into the output
-directory.  Data files are byte-stable for identical inputs: anything
-timing-derived (wall times, runtime extrapolations) lives in the manifest
-or a timing sidecar, never inside the deterministic artifacts.
+Every command ends the same way.  :func:`main` makes the command's manifest,
+runs the command, and writes the manifest when the command returns and on
+every stop at a limit, with ``aborted`` naming the limit.  The manifest goes
+into ``--out-dir`` as ``manifest.json``, or for ``gen-circuit`` beside
+``--out`` as ``<stem>.manifest.json``.  The output directory appears with the
+first artifact, so a usage error, raised before anything is written, leaves
+no directory.  A numerical error exits 5 without a manifest.  Data files are
+byte-stable for identical inputs: anything timing-derived (wall times,
+runtime extrapolations) lives in the manifest or a timing sidecar, never
+inside the deterministic artifacts.
 
 Relative output paths resolve under $PAULIPROP_DATA_DIR when it is set.
 ``run --snapshots steps`` snapshots the peak and the end of every Trotter
@@ -21,8 +27,7 @@ and snapshots.  ``estimate`` exits 4 when the budget leaves fewer than two
 probes.  ``converge`` exits 4, after writing its artifacts, when no step
 completes; a budget stop after a completed step is the ``budget_exhausted``
 status and exits 0.  A row-cap stop in ``estimate`` or ``converge`` (at
-``--max-rows``) exits 3 and writes no report.  Every stop at a limit writes
-the manifest, with ``aborted`` naming the limit.
+``--max-rows``) exits 3 and writes no report.
 """
 
 from __future__ import annotations
@@ -122,9 +127,15 @@ def _environment() -> dict:
 
 
 class _Manifest:
-    """Run provenance: resolved config, artifacts, wall time, versions, environment."""
+    """Run provenance: resolved config, artifacts, wall time, versions, environment.
 
-    def __init__(self, command: str, args: argparse.Namespace):
+    It owns the output location: ``add`` makes the directory with the first
+    artifact, and ``write`` puts the manifest there as ``name``, listed last.
+    """
+
+    def __init__(self, command: str, args: argparse.Namespace, out_dir: Path,
+                 name: str = "manifest.json"):
+        self.out_dir, self.name = out_dir, name
         self.payload = {
             "command": command,
             "argv": sys.argv[1:],
@@ -137,9 +148,12 @@ class _Manifest:
         }
         self._t0 = time.monotonic()
 
-    def add(self, path) -> Path:
+    def add(self, name: str) -> Path:
+        """The path of a new artifact in the output directory."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        path = self.out_dir / name
         self.payload["artifacts"].append(str(path))
-        return Path(path)
+        return path
 
     def timing(self, key: str, value) -> None:
         self.payload["timings"][key] = value
@@ -148,16 +162,12 @@ class _Manifest:
         """Top-level fields that explain a run; never part of the deterministic artifacts."""
         self.payload.update(fields)
 
-    def write(
-        self, out_dir: Path, name: str = "manifest.json", aborted: Aborted | None = None
-    ) -> None:
+    def write(self, aborted: Aborted | None = None) -> None:
         """Write the manifest; ``aborted`` is the stop at a limit that ended the command."""
         if aborted is not None:
             self.payload["aborted"] = aborted.reason
         self.payload["wall_time_s"] = time.monotonic() - self._t0
-        path = out_dir / name
-        self.payload["artifacts"].append(str(path))
-        _write_json(path, self.payload)
+        _write_json(self.add(self.name), self.payload)
 
 
 def _resolve_path(path) -> Path:
@@ -166,12 +176,6 @@ def _resolve_path(path) -> Path:
     base = os.environ.get("PAULIPROP_DATA_DIR")
     if base and not out.is_absolute():
         out = Path(base) / out
-    return out
-
-
-def _out_dir(args) -> Path:
-    out = _resolve_path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -186,11 +190,10 @@ def _load_observable(spec: str, n: int) -> PauliSum:
     return PauliSum.from_terms(n, [(spec, 1.0)])
 
 
-def _inputs(args, command: str):
-    """Circuit, observable and manifest; the command makes its output directory once checked."""
+def _inputs(args):
+    """The circuit and the observable an evolving command reads."""
     circuit = Circuit.load(args.circuit)
-    observable = _load_observable(args.observable, circuit.n)
-    return circuit, observable, _Manifest(command, args)
+    return circuit, _load_observable(args.observable, circuit.n)
 
 
 def _resolve_topology(name_or_path: str):
@@ -211,8 +214,7 @@ def _parse_float_list(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_circuit(args) -> int:
-    args.out = str(_resolve_path(args.out))
+def cmd_gen_circuit(args, manifest: _Manifest) -> None:
     if args.family == "kicked-ising":
         topo = _resolve_topology(args.topology)
         if args.theta_x == "random":
@@ -230,14 +232,9 @@ def cmd_gen_circuit(args) -> int:
             rows=args.rows, cols=args.cols, h=args.h, t_total=args.t, dt=args.dt,
             j_coupling=args.j_coupling,
         )
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest(f"gen-circuit {args.family}", args)
-    circuit.save(manifest.add(out))
+    out = manifest.add(Path(args.out).name)
+    circuit.save(out)
     print(f"wrote {out}: n={circuit.n}, gates={len(circuit)}")
-    manifest.write(out.parent if str(out.parent) else Path("."), name=out.stem + ".manifest.json")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +242,12 @@ def cmd_gen_circuit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_snapshots(trace: TraceLog, out: Path, manifest: _Manifest, delta: float) -> None:
+def _write_snapshots(trace: TraceLog, manifest: _Manifest, delta: float) -> None:
     for k, snap in sorted(trace.snapshots.items()):
-        path = manifest.add(out / f"snapshot_k{k:06d}.npz")
-        snap.to_npz(path, gate_index=k, delta=delta)
+        snap.to_npz(manifest.add(f"snapshot_k{k:06d}.npz"), gate_index=k, delta=delta)
     if trace.peak_snapshot is not None:
         k, snap = trace.peak_snapshot
-        path = manifest.add(out / f"snapshot_peak_k{k:06d}.npz")
-        snap.to_npz(path, gate_index=k, delta=delta)
+        snap.to_npz(manifest.add(f"snapshot_peak_k{k:06d}.npz"), gate_index=k, delta=delta)
 
 
 def _snapshot_gates(spec: str | None, circuit: Circuit):
@@ -268,10 +263,9 @@ def _snapshot_gates(spec: str | None, circuit: Circuit):
     return gates
 
 
-def cmd_run(args) -> int:
-    circuit, observable, manifest = _inputs(args, "run")
+def cmd_run(args, manifest: _Manifest) -> None:
+    circuit, observable = _inputs(args)
     snapshot_gates = _snapshot_gates(args.snapshots, circuit)
-    out = _out_dir(args)
 
     aborted = None
     t0 = time.monotonic()
@@ -286,9 +280,9 @@ def cmd_run(args) -> int:
     wall = time.monotonic() - t0
 
     value = expectation(final) if final is not None else None
-    trace.to_csv(manifest.add(out / "trace.csv"))
+    trace.to_csv(manifest.add("trace.csv"))
     summary = trace.summary(expectation=value)
-    _write_json(manifest.add(out / "summary.json"), summary)
+    _write_json(manifest.add("summary.json"), summary)
     manifest.timing("evolve_s", wall)
     # work and memory: deterministic counts, then the process's resident peak
     manifest.note(
@@ -297,13 +291,10 @@ def cmd_run(args) -> int:
         ru_maxrss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         absorbed_quarter_turns=trace.absorbed,
     )
-    _write_snapshots(trace, out, manifest, args.delta)
-    manifest.write(out, aborted=aborted)
-    if aborted is not None:
-        print(f"aborted ({trace.aborted}) after {len(trace.gates)} gates", file=sys.stderr)
-        return ABORT_EXIT[type(aborted)]
+    _write_snapshots(trace, manifest, args.delta)
+    if aborted is not None:  # the partial run is written; main writes the manifest
+        raise aborted
     print(f"expectation = {value!r}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +302,8 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_estimate(args) -> int:
-    circuit, observable, manifest = _inputs(args, "estimate")
+def cmd_estimate(args, manifest: _Manifest) -> None:
+    circuit, observable = _inputs(args)
 
     if args.count < 2:
         raise UsageError(f"--count must be at least 2 for a regression, got {args.count}")
@@ -329,33 +320,26 @@ def cmd_estimate(args) -> int:
             raise UsageError(
                 f"target delta {t} must be below the finest probe delta {finest_probe:g}"
             )
-    out = _out_dir(args)
 
-    try:
-        series = run_probes(
-            circuit, observable, delta_0=args.delta0, ratio=args.ratio,
-            count=args.count, budget_s=args.budget, row_cap=args.max_rows,
-        )
-    except Aborted as exc:
-        manifest.write(out, aborted=exc)
-        raise
+    series = run_probes(
+        circuit, observable, delta_0=args.delta0, ratio=args.ratio,
+        count=args.count, budget_s=args.budget, row_cap=args.max_rows,
+    )
     prediction = predict_resources(series, targets, tail_points=args.tail_points)
 
     report = {
         "series": series.to_json_dict(),
         "prediction": prediction.to_json_dict(),
     }
-    _write_json(manifest.add(out / "prediction.json"), report)
+    _write_json(manifest.add("prediction.json"), report)
     _write_csv(
-        manifest.add(out / "probes.csv"), ["delta", "n_max", "runtime_s"],
+        manifest.add("probes.csv"), ["delta", "n_max", "runtime_s"],
         ([repr(p.delta), p.n_max, repr(p.runtime_s)] for p in series.probes),
     )
-    manifest.write(out)
     for t, nm, rt in zip(targets, prediction.n_max, prediction.runtime_s):
         print(f"delta={t:g}: predicted N_max ~ {nm:.4g}, runtime ~ {rt:.4g}s")
     if prediction.low_confidence:
         print("warning: low-confidence prediction (peak near end of circuit)", file=sys.stderr)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -363,33 +347,25 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_converge(args) -> int:
-    circuit, observable, manifest = _inputs(args, "converge")
+def cmd_converge(args, manifest: _Manifest) -> None:
+    circuit, observable = _inputs(args)
     config = ConvergenceConfig(
         delta_0=args.delta0, ratio=args.ratio, eps_tol=args.eps_tol, ell=args.ell,
         t_cpu_s=args.t_cpu, max_steps=args.max_steps,
         cumulative_budget_s=args.cumulative_budget,
     )
-    out = _out_dir(args)
 
-    try:
-        report = run_protocol(circuit, observable, config, row_cap=args.max_rows)
-    except Aborted as exc:  # a row-cap stop; a budget stop is the report's status
-        manifest.write(out, aborted=exc)
-        raise
-    _write_json(manifest.add(out / "report.json"), report.to_json_dict())
-    _write_json(manifest.add(out / "timing.json"), report.timing_json_dict())
+    # a row-cap stop raises; a budget stop is the report's status
+    report = run_protocol(circuit, observable, config, row_cap=args.max_rows)
+    _write_json(manifest.add("report.json"), report.to_json_dict())
+    _write_json(manifest.add("timing.json"), report.timing_json_dict())
     _write_csv(
-        manifest.add(out / "convergence.csv"), ["log10_inv_delta", "estimate", "runtime_s"],
+        manifest.add("convergence.csv"), ["log10_inv_delta", "estimate", "runtime_s"],
         ([repr(math.log10(1.0 / s.delta)), repr(s.expectation), repr(s.runtime_s)]
          for s in report.steps),
     )
-    stop = None
     if not report.steps:
-        stop = BudgetExceeded("the budget ran out before the first step completed")
-    manifest.write(out, aborted=stop)
-    if stop is not None:
-        raise stop
+        raise BudgetExceeded("the budget ran out before the first step completed")
 
     if report.status == STATUS_CONVERGED:
         print(f"status = {report.status}; estimate = {report.final_estimate!r} (window {report.window})")
@@ -397,7 +373,6 @@ def cmd_converge(args) -> int:
         print(f"status = {report.status}; estimate range = {report.estimate_range}")
         if report.extrapolated_runtime_s:
             print(f"next-step runtime extrapolation: {report.extrapolated_runtime_s}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +388,8 @@ def _load_snapshot(path: Path, n_hint: int | None) -> PauliSum:
     return PauliSum.from_csv(path, n_hint)
 
 
-def cmd_analyze(args) -> int:
-    manifest = _Manifest("analyze", args)
-    # every usage error comes before the output directory is made
+def cmd_analyze(args, manifest: _Manifest) -> None:
+    # every usage error comes before the first artifact
     snap = _load_snapshot(Path(args.snapshot), args.n) if args.snapshot else None
     on_snapshot = snap is not None and (args.histogram or args.mle or args.regression)
     if not (on_snapshot or args.trace or args.s_theta):
@@ -428,7 +402,6 @@ def cmd_analyze(args) -> int:
     if args.s_theta and (args.m is None or args.delta is None):
         raise UsageError("--s-theta requires --m and --delta")
     xmin_mults = _parse_float_list(args.xmin_mult) if snap is not None and args.mle else []
-    out = _out_dir(args)
 
     if snap is not None:
         if args.histogram:
@@ -436,7 +409,7 @@ def cmd_analyze(args) -> int:
                 snap.coeffs, bins=args.bins, absolute=args.absolute,
                 delta_floor=args.delta if args.absolute else None,
             )
-            hist.to_csv(manifest.add(out / "histogram.csv"))
+            hist.to_csv(manifest.add("histogram.csv"))
         fits: list[MFitResult] = []
         if args.mle:
             abs_coeffs = np.abs(snap.coeffs)
@@ -452,7 +425,7 @@ def cmd_analyze(args) -> int:
         if args.regression:
             fits.append(fit_m_regression(snap.coeffs, args.delta, l=args.l))
         if fits:
-            _write_json(manifest.add(out / "fits.json"), [f.to_json_dict() for f in fits])
+            _write_json(manifest.add("fits.json"), [f.to_json_dict() for f in fits])
             for f in fits:
                 print(f"{f.method} (x_min={f.x_min:g}): m = {f.m:.6f}")
 
@@ -460,7 +433,7 @@ def cmd_analyze(args) -> int:
         trace = TraceLog.from_csv(args.trace)
         spikes = detect_eta_spikes(trace, threshold=args.threshold)
         _write_json(
-            manifest.add(out / "spikes.json"),
+            manifest.add("spikes.json"),
             [{"k": k, "eta": eta, "theta": theta} for k, eta, theta in spikes],
         )
         print(f"{len(spikes)} eta spike(s) at threshold {args.threshold}")
@@ -470,12 +443,9 @@ def cmd_analyze(args) -> int:
         thetas = np.linspace(args.theta_min, args.theta_max, args.theta_count)
         rows = s_theta_sweep(model, thetas)
         _write_csv(
-            manifest.add(out / "s_theta.csv"), ["theta", "s", "r"],
+            manifest.add("s_theta.csv"), ["theta", "s", "r"],
             ([repr(row["theta"]), repr(row["s"]), repr(row["r"])] for row in rows),
         )
-
-    manifest.write(out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +599,17 @@ def main(argv=None) -> int:
             print(f"warning: no command takes config key(s) {', '.join(sorted(unused))}; ignored",
                   file=sys.stderr)
     args = parser.parse_args(argv)
+    if args.command == "gen-circuit":
+        out = _resolve_path(args.out)
+        args.out = str(out)  # the manifest records the resolved path
+        manifest = _Manifest(f"gen-circuit {args.family}", args, out.parent,
+                             name=out.stem + ".manifest.json")
+    else:
+        manifest = _Manifest(args.command, args, _resolve_path(args.out_dir))
     try:
-        return args.func(args)
+        args.func(args, manifest)
+        manifest.write()
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -638,6 +617,7 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except Aborted as exc:
+        manifest.write(aborted=exc)
         print(f"aborted: {exc}", file=sys.stderr)
         return ABORT_EXIT[type(exc)]
     except (PauliError, CircuitError, EstimationImpossible, ValueError) as exc:

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import kernels
 from .circuits import Circuit
-from .pauli import InvariantViolation, PauliError, PauliString
+from .pauli import InvariantViolation, PauliError, PauliString, _qubits
 from .sums import PauliSum, pairwise_dot
 
 __all__ = [
@@ -244,17 +244,6 @@ def _take(bits, index):
 
 def _as_int(words: np.ndarray) -> int:
     return int.from_bytes(np.ascontiguousarray(words, dtype="<u8").tobytes(), "little")
-
-
-def _qubits(words) -> list[int]:
-    """The qubits whose bit is set in one half, given as native words."""
-    out = []
-    for i, word in enumerate(words):
-        while word:
-            low = word & -word
-            out.append(64 * i + low.bit_length() - 1)
-            word ^= low
-    return out
 
 
 def _swap_halves(words: np.ndarray) -> np.ndarray:
@@ -490,8 +479,9 @@ def evolve(
         Wall-clock budget; exceeding it raises BudgetExceeded carrying the
         partial trace.
     row_cap : int, optional
-        Hard cap on row count (default DEFAULT_ROW_CAP); exceeding it
-        raises RowCapExceeded carrying the partial trace.
+        Hard cap on row count (default DEFAULT_ROW_CAP), checked on the
+        thresholded observable and at every gate that adds rows; exceeding
+        it raises RowCapExceeded carrying the partial trace.
     """
     if circuit.n != observable.n:
         raise PauliError(f"circuit n={circuit.n} vs observable n={observable.n}")
@@ -537,6 +527,10 @@ def evolve(
         settle_peak()
         return error(message, trace=trace, partial=_true_state(n, bits, coeffs, frame))
 
+    # the one check of the cap outside _gate, which checks every growth
+    if len(coeffs) > cap:
+        raise stop(RowCapExceeded, f"row cap {cap} exceeded on entry by {len(coeffs)} rows")
+
     for k, (sigma, theta) in enumerate(circuit.gates, start=1):
         if deadline is not None and time.monotonic() > deadline:
             raise stop(BudgetExceeded, f"budget {budget_s}s exhausted at gate {k}/{len(preps)}")
@@ -552,13 +546,12 @@ def evolve(
                 if len(anti_idx):
                     phi = len(anti_idx) / n_before
                     eta = int(np.count_nonzero(pos >= 0)) / n_before
-                capped = phi > 0.0 and n_before > cap  # as _gate counts it
             else:
                 bits, coeffs, phi, eta, truncated, capped = _gate(
                     bits, coeffs, framed, theta, delta, cap
                 )
-            if capped:
-                raise stop(RowCapExceeded, f"row cap {cap} exceeded at gate {k}/{len(preps)}")
+                if capped:
+                    raise stop(RowCapExceeded, f"row cap {cap} exceeded at gate {k}/{len(preps)}")
             if phi > 0.0:  # with phi = 0 nothing changed
                 cone |= prep.cross_mask
                 if cos_t != 0.0:

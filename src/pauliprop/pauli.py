@@ -61,6 +61,17 @@ def _xor_words(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x ^ y for x, y in zip(a, b))
 
 
+def _qubits(words) -> list[int]:
+    """The qubits whose bit is set in one half, given as native words, ascending."""
+    out = []
+    for i, word in enumerate(words):
+        while word:
+            low = word & -word
+            out.append(_WORD_BITS * i + low.bit_length() - 1)
+            word ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class PauliString:
     """Immutable packed Pauli string; safe to share between threads.
@@ -223,14 +234,8 @@ class PauliString:
 
     def to_sparse_label(self) -> str:
         """Sparse `X3*Z7` form; identity becomes `I`."""
-        parts = []
-        for q in range(self.n):
-            word, bit = q // _WORD_BITS, q % _WORD_BITS
-            zb = (self.z[word] >> bit) & 1
-            xb = (self.x[word] >> bit) & 1
-            if zb or xb:
-                parts.append(f"{'IXZY'[xb + 2 * zb]}{q}")
-        return "*".join(parts) if parts else "I"
+        support = _qubits(tuple(a | b for a, b in zip(self.z, self.x)))
+        return "*".join(f"{self.letter(q)}{q}" for q in support) or "I"
 
     def __repr__(self) -> str:
         return f"PauliString({self.to_sparse_label()!r}, n={self.n}, alpha={self.alpha})"

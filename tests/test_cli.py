@@ -16,6 +16,7 @@ import scipy
 import pauliprop
 from pauliprop.analysis import fit_m_regression, histogram
 from pauliprop.cli import (
+    ABORT_EXIT,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -24,6 +25,7 @@ from pauliprop.cli import (
     build_parser,
     main,
 )
+from pauliprop.engine import Aborted
 from pauliprop.estimator import predict_resources, run_probes
 
 
@@ -585,6 +587,37 @@ class TestAnalyze:
         code = main(["analyze", "--snapshot", str(snap), "--histogram", "--out-dir", str(out_dir)])
         assert code == EXIT_USAGE
         assert not out_dir.exists()
+
+
+class TestLifecycle:
+    def test_every_limit_has_an_exit_code(self):
+        assert set(ABORT_EXIT) == set(Aborted.__subclasses__())
+
+    @pytest.mark.parametrize("command", ["gen-circuit", "estimate", "converge", "analyze"])
+    def test_manifest_covers_all_outputs(self, small_circuit, tmp_path, command):
+        out_dir = tmp_path / command
+        inputs = ["--circuit", str(small_circuit), "--observable", "Z2"]
+        common = [*inputs, "--out-dir", str(out_dir)]
+        if command == "gen-circuit":
+            argv = ["gen-circuit", "kicked-ising", "--topology", "grid_2x2", "--T", "1",
+                    "--out", str(out_dir / "c.json")]
+        elif command == "estimate":
+            argv = ["estimate", *common, "--delta0", "0.05", "--count", "3", "--targets", "0.001"]
+        elif command == "converge":
+            argv = ["converge", *common, "--max-steps", "3"]
+        else:  # every kind of output, from one run's peak snapshot and trace
+            run_dir = tmp_path / "run"
+            assert main(["run", *inputs, "--delta", "1e-3", "--snapshots", "steps",
+                         "--out-dir", str(run_dir)]) == EXIT_OK
+            (peak,) = run_dir.glob("snapshot_peak_k*.npz")
+            argv = ["analyze", "--snapshot", str(peak), "--histogram", "--mle",
+                    "--delta", "1e-3", "--trace", str(run_dir / "trace.csv"), "--spikes",
+                    "--s-theta", "--m", "1.5", "--out-dir", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        manifest_path = out_dir / ("c.manifest.json" if command == "gen-circuit" else "manifest.json")
+        listed = json.loads(manifest_path.read_text())["artifacts"]
+        assert sorted(listed) == sorted(str(p) for p in out_dir.iterdir())
+        assert listed[-1] == str(manifest_path)
 
 
 @pytest.mark.parametrize("command, flag, function", [

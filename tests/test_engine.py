@@ -192,6 +192,18 @@ class TestApplyRotation:
         assert err.value.partial.labels() == s.labels()
         assert err.value.partial.coeffs.tolist() == s.coeffs.tolist()
 
+    @pytest.mark.parametrize("label, theta", [
+        ("Z0", 0.3), ("X0", math.pi), ("X0", math.pi / 2), ("X0", 0.3),
+    ], ids=["idle", "half", "quarter", "residual"])
+    def test_row_cap_checked_on_entry(self, label, theta):
+        # an observable over the cap stops before its first gate, whatever the gate
+        s = PauliSum.from_terms(3, [("Z0", 1.0), ("Z1", 0.5), ("Z2", 0.25)])
+        with pytest.raises(RowCapExceeded) as err:
+            apply_rotation(s, PauliString.from_label(label, 3), theta, 0.0, row_cap=2)
+        assert err.value.trace.gates == [] and err.value.trace.aborted == "row_cap"
+        assert err.value.partial.labels() == s.labels()
+        assert err.value.partial.coeffs.tolist() == s.coeffs.tolist()
+
     def test_non_hermitian_generator_rejected(self):
         plain = PauliString.from_label("X")
         crooked = PauliString(n=1, z=plain.z, x=plain.x, alpha=1)
@@ -418,12 +430,15 @@ def _reference_evolve(circuit, observable, delta, row_cap=engine.DEFAULT_ROW_CAP
 
     Returns the state after each gate (index 0 is the entry state) in the
     PauliSum layout, the trace rows without elapsed_ns, with the norm
-    recomputed after every gate, and whether the gate after the last row
-    hit the row cap.  The gate works on keyed rows, so the words are
-    byte-swapped on the way in and back on the way out, as evolve does.
+    recomputed after every gate, and whether the row cap stopped it: on
+    entry or at the gate after the last row.  The gate works on keyed rows,
+    so the words are byte-swapped on the way in and back on the way out, as
+    evolve does.
     """
     bits, coeffs, _ = engine._threshold(observable.bits.byteswap(), observable.coeffs.copy(), delta)
     states, rows = [(bits.byteswap(), coeffs.copy())], []
+    if len(coeffs) > row_cap:  # the cap holds from entry, as in evolve
+        return states, rows, True
     for k, (sigma, theta) in enumerate(circuit.gates, start=1):
         n_before = len(coeffs)
         prep = engine._prepare_generator(sigma, circuit.n)
