@@ -14,6 +14,7 @@ from .circuits import (
 from .engine import (
     Aborted,
     BudgetExceeded,
+    GateState,
     GateStats,
     RowCapExceeded,
     TraceLog,
@@ -51,6 +52,7 @@ __all__ = [
     "expectation",
     "TraceLog",
     "GateStats",
+    "GateState",
     "commutes",
     "multiply_by_generator",
     "expectation_on_zero",

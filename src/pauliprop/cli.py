@@ -20,14 +20,16 @@ Anything else is a usage error, raised before anything is written.
 name (underscores); explicit flags win over the config file, which wins
 over built-in defaults, and the manifest records the resolved values.
 
-Exit codes: 0 success, 2 usage, 3 row-cap abort, 4 budget abort, 5 numerical
-error.  ``run`` exits 3 at ``--max-rows`` and 4 at ``--budget``, after writing
-its trace, summary (with the partial state's value as ``partial_expectation``)
-and snapshots.  ``estimate`` exits 4 when the budget leaves fewer than two
-probes.  ``converge`` exits 4, after writing its artifacts, when no step
-completes; a budget stop after a completed step is the ``budget_exhausted``
-status and exits 0.  A row-cap stop in ``estimate`` or ``converge`` (at
-``--max-rows``) exits 3 and writes no report.
+Exit codes: 0 success, 2 usage (an unreadable input file too: every input is
+read before the first artifact), 3 row-cap abort, 4 budget abort, 5 numerical
+error.  ``run`` writes each snapshot as its gate passes, and the peak when
+the run ends.  It exits 3 at ``--max-rows`` and 4 at ``--budget``, after
+writing the peak so far, its trace and its summary (with the partial state's
+value as ``partial_expectation``).  ``estimate`` exits 4 when the budget
+leaves fewer than two probes.  ``converge`` exits 4, after writing its
+artifacts, when no step completes; a budget stop after a completed step is
+the ``budget_exhausted`` status and exits 0.  A row-cap stop in ``estimate``
+or ``converge`` (at ``--max-rows``) exits 3 and writes no report.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ from .estimator import (
     DEFAULT_PROBE_COUNT,
     DEFAULT_RATIO,
     DEFAULT_TAIL_POINTS,
-    EstimationImpossible,
     predict_resources,
     run_probes,
 )
@@ -242,14 +243,6 @@ def cmd_gen_circuit(args, manifest: _Manifest) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _write_snapshots(trace: TraceLog, manifest: _Manifest, delta: float) -> None:
-    for k, snap in sorted(trace.snapshots.items()):
-        snap.to_npz(manifest.add(f"snapshot_k{k:06d}.npz"), gate_index=k, delta=delta)
-    if trace.peak_snapshot is not None:
-        k, snap = trace.peak_snapshot
-        snap.to_npz(manifest.add(f"snapshot_peak_k{k:06d}.npz"), gate_index=k, delta=delta)
-
-
 def _snapshot_gates(spec: str | None, circuit: Circuit):
     """The gate indices ``--snapshots`` names: ``steps`` or comma-separated indices."""
     if spec == "steps":  # the end of every Trotter step the circuit file records
@@ -265,21 +258,35 @@ def _snapshot_gates(spec: str | None, circuit: Circuit):
 
 def cmd_run(args, manifest: _Manifest) -> None:
     circuit, observable = _inputs(args)
-    snapshot_gates = _snapshot_gates(args.snapshots, circuit)
+    snap_at = set(_snapshot_gates(args.snapshots, circuit))
+    track_peak = args.snapshots == "steps"
+    peak = None  # (stats, a copy of the state) at the first gate with the most rows so far
+
+    def save(name, k, state):
+        path = manifest.add(f"{name}_k{k:06d}.npz")
+        state.pauli_sum().to_npz(path, gate_index=k, delta=args.delta)
+
+    def on_gate(stats, state):
+        nonlocal peak
+        if stats.k in snap_at:
+            save("snapshot", stats.k, state)
+        if track_peak and (peak is None or stats.n_after > peak[0].n_after):
+            peak = (stats, state.copy())
 
     aborted = None
     t0 = time.monotonic()
     try:
         final, trace = evolve(
-            circuit, observable, args.delta,
-            snapshot_gates=snapshot_gates, track_peak_snapshot=args.snapshots == "steps",
-            budget_s=args.budget, row_cap=args.max_rows,
+            circuit, observable, args.delta, budget_s=args.budget, row_cap=args.max_rows,
+            on_gate=on_gate if snap_at or track_peak else None,
         )
     except Aborted as exc:
         aborted, trace, final = exc, exc.trace, exc.partial
     wall = time.monotonic() - t0
+    if peak is not None:  # the peak of the gates run, also on a stop
+        save("snapshot_peak", peak[0].k, peak[1])
 
-    value = expectation(final) if final is not None else None
+    value = expectation(final)
     trace.to_csv(manifest.add("trace.csv"))
     summary = trace.summary(expectation=value)
     _write_json(manifest.add("summary.json"), summary)
@@ -291,7 +298,6 @@ def cmd_run(args, manifest: _Manifest) -> None:
         ru_maxrss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         absorbed_quarter_turns=trace.absorbed,
     )
-    _write_snapshots(trace, manifest, args.delta)
     if aborted is not None:  # the partial run is written; main writes the manifest
         raise aborted
     print(f"expectation = {value!r}")
@@ -305,16 +311,14 @@ def cmd_run(args, manifest: _Manifest) -> None:
 def cmd_estimate(args, manifest: _Manifest) -> None:
     circuit, observable = _inputs(args)
 
-    if args.count < 2:
-        raise UsageError(f"--count must be at least 2 for a regression, got {args.count}")
-    if not 0.0 < args.ratio < 1.0:
-        raise UsageError(f"--ratio must lie in (0, 1), got {args.ratio}")
+    # run_probes rejects a bad --count or --ratio before its first probe; the
+    # library checks --tail-points and --targets only after probing
     if args.tail_points < 0 or args.tail_points == 1:
         raise UsageError(f"--tail-points must be 0 (all) or at least 2, got {args.tail_points}")
     targets = _parse_float_list(args.targets)
     if not targets:
         raise UsageError("--targets must list at least one delta")
-    finest_probe = args.delta0 * args.ratio ** (args.count - 1)
+    finest_probe = args.delta0 * args.ratio ** max(args.count - 1, 0)  # a bad count fails later
     for t in targets:
         if t >= finest_probe:
             raise UsageError(
@@ -402,6 +406,7 @@ def cmd_analyze(args, manifest: _Manifest) -> None:
     if args.s_theta and (args.m is None or args.delta is None):
         raise UsageError("--s-theta requires --m and --delta")
     xmin_mults = _parse_float_list(args.xmin_mult) if snap is not None and args.mle else []
+    trace = TraceLog.from_csv(args.trace) if args.trace else None
 
     if snap is not None:
         if args.histogram:
@@ -429,8 +434,7 @@ def cmd_analyze(args, manifest: _Manifest) -> None:
             for f in fits:
                 print(f"{f.method} (x_min={f.x_min:g}): m = {f.m:.6f}")
 
-    if args.trace:
-        trace = TraceLog.from_csv(args.trace)
+    if trace is not None:
         spikes = detect_eta_spikes(trace, threshold=args.threshold)
         _write_json(
             manifest.add("spikes.json"),
@@ -620,7 +624,7 @@ def main(argv=None) -> int:
         manifest.write(aborted=exc)
         print(f"aborted: {exc}", file=sys.stderr)
         return ABORT_EXIT[type(exc)]
-    except (PauliError, CircuitError, EstimationImpossible, ValueError) as exc:
+    except (PauliError, CircuitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -35,13 +35,16 @@ bit kernels in :mod:`pauliprop.kernels`; all float updates are elementwise.
 
 Inside :func:`evolve` every word is stored byte-swapped, big-endian in
 memory, so a row's bytes are its sort key: the state's words are swapped
-once on entry and a generator's once when it is prepared, and every state
-that leaves (the final state, snapshots, the peak snapshot and the partial
-state of an abort) is swapped back to the :class:`PauliSum` layout.  Every
-row move in a gate (the scan's gathers and the splice) moves each row as one
-fixed-width item.  The splice builds the next state in one copy: one gather
-of the kept rows, with the dropped rows left out, then one scatter of the
-new rows into their places.
+once on entry and a generator's once when it is prepared.  Every row move in
+a gate (the scan's gathers and the splice) moves each row as one fixed-width
+item.  The splice builds the next state in one copy: one gather of the kept
+rows, with the dropped rows left out, then one scatter of the new rows into
+their places.
+
+Every state leaves :func:`evolve` as a :class:`GateState`, which hides the
+frame and the keyed layout: the final state, a stop's partial state, and the
+state an ``on_gate`` hook is handed after each gate.  What to keep of them
+(snapshots, the peak) is the hook's choice; the engine keeps none.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .sums import PauliSum, pairwise_dot
 
 __all__ = [
     "GateStats",
+    "GateState",
     "TraceLog",
     "Aborted",
     "BudgetExceeded",
@@ -76,6 +80,9 @@ _HALF_PI = math.pi / 2.0
 _QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
 DEFAULT_ROW_CAP = 2**31
+_TRACE_COLUMNS = (
+    "k", "theta", "phi", "eta", "n_before", "n_after", "truncated", "norm", "elapsed_ns"
+)
 
 
 class Aborted(RuntimeError):
@@ -126,27 +133,17 @@ class TraceLog:
     delta: float
     initial_norm: float
     gates: list[GateStats] = field(default_factory=list)
-    snapshots: dict[int, PauliSum] = field(default_factory=dict)
-    peak_snapshot: tuple[int, PauliSum] | None = None
     aborted: str | None = None
     absorbed: int = 0  # exact quarter turns absorbed into the Clifford frame
 
     @property
     def n_max(self) -> int:
-        if not self.gates:
-            return 0
-        return max(g.n_after for g in self.gates)
+        return max((g.n_after for g in self.gates), default=0)
 
     @property
     def k_star(self) -> int:
         """1-based gate index achieving n_max (first occurrence)."""
-        if not self.gates:
-            return 0
-        best = max(g.n_after for g in self.gates)
-        for g in self.gates:
-            if g.n_after == best:
-                return g.k
-        return 0
+        return max(self.gates, key=lambda g: g.n_after).k if self.gates else 0
 
     def finalize(self) -> None:
         """Check the trivial memory bound N_max <= ||O||^2 / delta^2."""
@@ -161,9 +158,7 @@ class TraceLog:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["k", "theta", "phi", "eta", "n_before", "n_after", "truncated", "norm", "elapsed_ns"]
-            )
+            writer.writerow(_TRACE_COLUMNS)
             for g in self.gates:
                 writer.writerow(
                     [g.k, repr(g.theta), repr(g.phi), repr(g.eta), g.n_before, g.n_after,
@@ -172,10 +167,13 @@ class TraceLog:
 
     @classmethod
     def from_csv(cls, path) -> "TraceLog":
-        """The per-gate rows of a trace CSV; n, delta and the initial norm are not in it."""
+        """The gates of a trace CSV, which needs every column; n, delta and norm are unset."""
         out = cls(n=0, delta=0.0, initial_norm=1.0)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
+            missing = [col for col in _TRACE_COLUMNS if col not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"trace {path} lacks column(s) {', '.join(missing)}")
             for row in reader:
                 out.gates.append(
                     GateStats(
@@ -277,16 +275,33 @@ def _prepare_generator(sigma: PauliString, n: int) -> _Generator:
     )
 
 
-def _true_state(n, bits, coeffs, frame, owned=False) -> PauliSum:
-    """The state as a PauliSum: unframed and sorted, or only swapped back with no frame.
+class GateState:
+    """A read-only handle on :func:`evolve`'s state, hiding the frame and the keyed layout.
 
-    ``owned`` arrays are overwritten instead of copied.
+    The handle an ``on_gate`` hook is given reads evolve's own arrays, which
+    the next gate changes: :meth:`copy` keeps the state past the hook.
     """
-    if frame is not None:
-        bits, coeffs = frame.unframe(bits, coeffs, owned)
-    elif not owned:
-        bits, coeffs = bits.copy(), coeffs.copy()
-    return PauliSum(n, bits.byteswap(inplace=True), coeffs)
+
+    def __init__(self, n, bits, coeffs, frame, owned=False):
+        self.n, self._bits, self._coeffs, self._frame, self._owned = n, bits, coeffs, frame, owned
+
+    def copy(self) -> "GateState":
+        """This state, kept in arrays of its own."""
+        frame = None if self._frame is None else self._frame.copy()
+        return GateState(self.n, self._bits.copy(), self._coeffs.copy(), frame, owned=True)
+
+    def pauli_sum(self) -> PauliSum:
+        """The true state, unframed and sorted; a copy's arrays become it, so it is read once."""
+        bits, coeffs, frame, owned = self._bits, self._coeffs, self._frame, self._owned
+        if bits is None:
+            raise RuntimeError("a copied state is read once")
+        if owned:
+            self._bits = self._coeffs = self._frame = None
+        if frame is not None:
+            bits, coeffs = frame.unframe(bits, coeffs, owned)
+        elif not owned:
+            bits, coeffs = bits.copy(), coeffs.copy()
+        return PauliSum(self.n, bits.byteswap(inplace=True), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +475,9 @@ def evolve(
     circuit: Circuit,
     observable: PauliSum,
     delta: float,
-    snapshot_gates=(),
-    track_peak_snapshot: bool = False,
     budget_s: float | None = None,
     row_cap: int | None = None,
+    on_gate=None,
 ) -> tuple[PauliSum, TraceLog]:
     """Propagate the observable through the whole circuit (Heisenberg order).
 
@@ -471,10 +485,6 @@ def evolve(
 
     Parameters
     ----------
-    snapshot_gates : sequence of int
-        1-based gate indices at which to store coefficient snapshots.
-    track_peak_snapshot : bool
-        Keep a rolling snapshot of the gate achieving the running N_max.
     budget_s : float, optional
         Wall-clock budget; exceeding it raises BudgetExceeded carrying the
         partial trace.
@@ -482,6 +492,9 @@ def evolve(
         Hard cap on row count (default DEFAULT_ROW_CAP), checked on the
         thresholded observable and at every gate that adds rows; exceeding
         it raises RowCapExceeded carrying the partial trace.
+    on_gate : callable, optional
+        Called as ``on_gate(stats, state)`` after each gate with its GateStats
+        and a GateState; its time counts toward ``budget_s``, not ``elapsed_ns``.
     """
     if circuit.n != observable.n:
         raise PauliError(f"circuit n={circuit.n} vs observable n={observable.n}")
@@ -489,9 +502,6 @@ def evolve(
         raise ValueError(f"delta must be >= 0, got {delta}")
     cap = DEFAULT_ROW_CAP if row_cap is None else row_cap
     n = circuit.n
-
-    snap_at = set(int(k) for k in snapshot_gates)
-    instrumented = bool(snap_at) or track_peak_snapshot
 
     # one prep per unique generator, resolved to a flat per-gate list
     prep_cache: dict[int, _Generator] = {}
@@ -513,19 +523,13 @@ def evolve(
     frame = None  # made at the first absorbed quarter turn
 
     gates = trace.gates
-    peak_rows, peak = -1, None  # the peak snapshot, kept framed until it leaves
     t0 = time.monotonic()
     deadline = None if budget_s is None else t0 + budget_s
 
-    def settle_peak():
-        if peak is not None:
-            k_peak, peak_bits, peak_coeffs, peak_frame = peak
-            trace.peak_snapshot = (k_peak, _true_state(n, peak_bits, peak_coeffs, peak_frame, True))
-
     def stop(error, message):
         trace.aborted = error.reason
-        settle_peak()
-        return error(message, trace=trace, partial=_true_state(n, bits, coeffs, frame))
+        partial = GateState(n, bits, coeffs, frame, owned=True).pauli_sum()
+        return error(message, trace=trace, partial=partial)
 
     # the one check of the cap outside _gate, which checks every growth
     if len(coeffs) > cap:
@@ -563,23 +567,17 @@ def evolve(
                         frame = Frame(n)
                     frame.absorb(prep, sin_t)
                     trace.absorbed += 1
-        gates.append(
-            GateStats(
-                k=k, theta=theta, phi=phi, eta=eta, n_before=n_before, n_after=len(coeffs),
-                truncated=truncated, norm_after=norm,
-                elapsed_ns=time.perf_counter_ns() - gate_start,
-            )
+        stats = GateStats(
+            k=k, theta=theta, phi=phi, eta=eta, n_before=n_before, n_after=len(coeffs),
+            truncated=truncated, norm_after=norm,
+            elapsed_ns=time.perf_counter_ns() - gate_start,
         )
-        if instrumented:
-            if k in snap_at:
-                trace.snapshots[k] = _true_state(n, bits, coeffs, frame)
-            if track_peak_snapshot and len(coeffs) > peak_rows:
-                peak_rows = len(coeffs)
-                peak = (k, bits.copy(), coeffs.copy(), None if frame is None else frame.copy())
+        gates.append(stats)
+        if on_gate is not None:
+            on_gate(stats, GateState(n, bits, coeffs, frame))
 
     trace.finalize()
-    settle_peak()
-    return _true_state(n, bits, coeffs, frame, True), trace
+    return GateState(n, bits, coeffs, frame, owned=True).pauli_sum(), trace
 
 
 def expectation(s: PauliSum) -> float:

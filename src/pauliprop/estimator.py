@@ -24,7 +24,6 @@ __all__ = [
     "RegressionFit",
     "ResourcePrediction",
     "GapEstimate",
-    "EstimationImpossible",
     "probe",
     "run_probes",
     "predict_nmax",
@@ -38,10 +37,6 @@ DEFAULT_DELTA_0 = 0.005
 DEFAULT_RATIO = 1.0 / math.sqrt(2.0)
 DEFAULT_PROBE_COUNT = 3
 DEFAULT_TAIL_POINTS = 4
-
-
-class EstimationImpossible(RuntimeError):
-    """Fewer than two probes to fit; no regression possible."""
 
 
 @dataclass
@@ -151,13 +146,13 @@ def run_probes(
 ) -> ProbeSeries:
     """Probe at delta_i = ratio^i * delta_0 for i = 0..count-1.
 
-    A count below two raises EstimationImpossible before any probe runs.
-    The series stops early when the wall budget runs out, and raises
+    A count below two or a ratio outside (0, 1) raises ValueError before any
+    probe runs.  The series stops early when the wall budget runs out, and raises
     BudgetExceeded if that leaves fewer than two probes.  A probe past
     ``row_cap`` rows raises RowCapExceeded.
     """
     if count < 2:
-        raise EstimationImpossible(f"count must be >= 2 for a regression, got {count}")
+        raise ValueError(f"count must be >= 2 for a regression, got {count}")
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
     series = ProbeSeries(
@@ -211,7 +206,7 @@ def predict_nmax(series: ProbeSeries, targets) -> ResourcePrediction:
     """
     targets = [float(t) for t in targets]
     if len(series.probes) < 2:
-        raise EstimationImpossible("need at least 2 probes")
+        raise ValueError("need at least 2 probes")
     min_probe_delta = min(p.delta for p in series.probes)
     for t in targets:
         if t >= min_probe_delta:
@@ -253,7 +248,7 @@ def predict_runtime(runs, targets, tail_points: int = DEFAULT_TAIL_POINTS) -> Re
     targets = [float(t) for t in targets]
     probes = runs[-tail_points:] if tail_points else runs
     if len(probes) < 2:
-        raise EstimationImpossible("need at least 2 probes in the fitted tail")
+        raise ValueError("need at least 2 probes in the fitted tail")
     x = np.log(1.0 / np.array([p.delta for p in probes]))
     y = np.log(np.maximum(np.array([p.runtime_s for p in probes]), 1e-9))
     fit = _ols(x, y)

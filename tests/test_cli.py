@@ -1,5 +1,6 @@
 import csv
 import inspect
+import itertools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from pauliprop.cli import (
     build_parser,
     main,
 )
+from pauliprop import engine
 from pauliprop.engine import Aborted
 from pauliprop.estimator import predict_resources, run_probes
 
@@ -200,6 +202,38 @@ class TestRun:
         # one at the end of each of the 3 Trotter steps
         assert snaps == [f"snapshot_k{j * per_step:06d}.npz" for j in (1, 2, 3)]
         assert list(out_dir.glob("snapshot_peak_k*.npz"))
+
+    def test_stopped_run_keeps_its_snapshots(self, small_circuit, tmp_path, monkeypatch):
+        # the circuit and then its inverse, so the rows peak mid-circuit
+        payload = json.loads(small_circuit.read_text())
+        payload["gates"] += [[label, -angle] for label, angle in reversed(payload["gates"])]
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(payload))
+        argv = ["run", "--circuit", str(echo), "--observable", "Z2", "--delta", "1e-4",
+                "--snapshots", "steps"]
+        full = tmp_path / "full"
+        assert main([*argv, "--out-dir", str(full)]) == EXIT_OK
+        k_star = json.loads((full / "summary.json").read_text())["k_star"]
+        per_step = payload["metadata"]["gates_per_step"]
+        done = k_star + per_step + 1  # past the peak and one more step, not the end
+        assert done < len(payload["gates"])
+
+        # a clock that advances 1 s a reading stops the run after gate `done`
+        ticks = itertools.count()
+        monkeypatch.setattr(engine, "time", SimpleNamespace(
+            monotonic=lambda: float(next(ticks)), perf_counter_ns=lambda: 0))
+        stopped = tmp_path / "stopped"
+        code = main([*argv, "--budget", f"{done}.5", "--out-dir", str(stopped)])
+        assert code == EXIT_BUDGET
+        assert json.loads((stopped / "summary.json").read_text())["gates"] == done
+        snaps = [f"snapshot_k{k:06d}.npz" for k in range(per_step, done + 1, per_step)]
+        snaps.append(f"snapshot_peak_k{k_star:06d}.npz")
+        assert sorted(p.name for p in stopped.glob("snapshot*.npz")) == sorted(snaps)
+        for name in snaps:
+            assert (stopped / name).read_bytes() == (full / name).read_bytes(), name
+        listed = json.loads((stopped / "manifest.json").read_text())["artifacts"]
+        assert listed == [str(stopped / name) for name in snaps] + [
+            str(stopped / name) for name in ("trace.csv", "summary.json", "manifest.json")]
 
     @pytest.mark.parametrize("spec, strip_metadata", [("0,999", False), ("steps", True)])
     def test_snapshots_naming_no_gate_usage_error(self, tmp_path, capsys, spec, strip_metadata):
@@ -577,6 +611,17 @@ class TestAnalyze:
         assert main(["analyze", *snapshot, *flags, "--out-dir", str(out_dir)]) == EXIT_USAGE
         assert not out_dir.exists()
 
+    def test_trace_missing_column_writes_nothing(self, tmp_path, rng, capsys):
+        # the histogram would come first; the trace is read before it
+        trace_csv = tmp_path / "trace.csv"
+        trace_csv.write_text("k,theta\n1,0.3\n")
+        out_dir = tmp_path / "ana"
+        code = main(["analyze", "--snapshot", str(self._snapshot(tmp_path, rng)), "--histogram",
+                     "--trace", str(trace_csv), "--spikes", "--out-dir", str(out_dir)])
+        assert code == EXIT_USAGE
+        assert "phi" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_corrupt_snapshot_writes_nothing(self, tmp_path, rng):
         snap = self._snapshot(tmp_path, rng)
         with np.load(snap) as data:
@@ -618,6 +663,21 @@ class TestLifecycle:
         listed = json.loads(manifest_path.read_text())["artifacts"]
         assert sorted(listed) == sorted(str(p) for p in out_dir.iterdir())
         assert listed[-1] == str(manifest_path)
+
+
+    @pytest.mark.parametrize("flag", ["--circuit", "--snapshot", "--trace"])
+    def test_missing_input_is_usage_error(self, tmp_path, capsys, flag):
+        missing = str(tmp_path / "nope")
+        argv = {
+            "--circuit": ["run", "--circuit", missing + ".json", "--observable", "Z2",
+                          "--delta", "1e-3"],
+            "--snapshot": ["analyze", "--snapshot", missing + ".npz", "--histogram"],
+            "--trace": ["analyze", "--trace", missing + ".csv", "--spikes"],
+        }[flag]
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command, flag, function", [

@@ -46,6 +46,26 @@ def _circuit(n, label_theta_pairs):
     )
 
 
+class _Keeper:
+    """An on_gate hook that keeps the states at the given gates, and a copy
+    at each new running maximum of n_after: strictly more rows, so the first
+    gate at N_max keeps the peak."""
+
+    def __init__(self, at=()):
+        self.at, self.snapshots, self._peak = set(at), {}, None
+
+    def __call__(self, stats, state):
+        if stats.k in self.at:
+            self.snapshots[stats.k] = state.pauli_sum()
+        if self._peak is None or stats.n_after > self._peak[0].n_after:
+            self._peak = (stats, state.copy())
+
+    def peak(self):
+        """The peak's gate index and state."""
+        stats, state = self._peak
+        return stats.k, state.pauli_sum()
+
+
 class TestApplyRotation:
     def test_quarter_turn_plus_residual(self):
         s = PauliSum.from_terms(1, [("Z", 1.0)])
@@ -333,9 +353,10 @@ class TestEvolve:
         n = 4
         gates = random_circuit_gates(rng, n, 12, clifford_fraction=0.0)
         obs = PauliSum.from_terms(n, [("ZIII", 1.0)])
-        final, trace = evolve(_circuit(n, gates), obs, 0.0, snapshot_gates=(3, 7))
-        assert set(trace.snapshots) == {3, 7}
-        assert trace.snapshots[3].n == n
+        keep = _Keeper((3, 7))
+        final, trace = evolve(_circuit(n, gates), obs, 0.0, on_gate=keep)
+        assert set(keep.snapshots) == {3, 7}
+        assert keep.snapshots[3].n == n
 
     def test_step_snapshots_and_peak(self):
         topo = Topology.grid(2, 2)
@@ -343,10 +364,38 @@ class TestEvolve:
         obs = PauliSum.from_terms(4, [("Z0", 1.0)])
         per_step = circ.metadata["gates_per_step"]
         steps = (per_step, 2 * per_step, 3 * per_step)
-        final, trace = evolve(circ, obs, 0.0, snapshot_gates=steps, track_peak_snapshot=True)
-        assert set(trace.snapshots) == set(steps)
-        k_peak, snap = trace.peak_snapshot
+        keep = _Keeper(steps)
+        final, trace = evolve(circ, obs, 0.0, on_gate=keep)
+        assert set(keep.snapshots) == set(steps)
+        k_peak, snap = keep.peak()
         assert len(snap) == trace.n_max
+        assert k_peak == trace.k_star
+
+    @pytest.mark.parametrize("stop", ["row_cap", "budget"])
+    def test_hook_sees_every_recorded_gate(self, stop, monkeypatch):
+        topo = Topology.grid(3, 3)
+        circ = kicked_ising(topo, T=4, theta_zz=-0.7, theta_x_spec=FixedAngle(0.4))
+        obs = PauliSum.from_terms(9, [("Z4", 1.0)])
+        seen = []
+        if stop == "budget":  # a clock that advances 1 s a reading
+            ticks = itertools.count()
+            monkeypatch.setattr(engine, "time", mock.Mock(
+                monotonic=lambda: float(next(ticks)), perf_counter_ns=lambda: 0))
+        limits = {"row_cap": 16} if stop == "row_cap" else {"budget_s": 20.5}
+        with pytest.raises((RowCapExceeded, BudgetExceeded)) as err:
+            evolve(circ, obs, 0.0, on_gate=lambda stats, state: seen.append(stats), **limits)
+        assert err.value.trace.aborted == stop
+        assert len(seen) > 0
+        assert seen == err.value.trace.gates
+
+    def test_copied_state_is_read_once(self):
+        obs = PauliSum.from_terms(2, [("Z0", 1.0)])
+        copies = []
+        evolve(_circuit(2, [("X0", 0.3), ("Y0*Y1", 0.2)]), obs, 0.0,
+               on_gate=lambda stats, state: copies.append(state.copy()))
+        assert len(copies[0].pauli_sum()) == 2
+        with pytest.raises(RuntimeError):
+            copies[0].pauli_sum()
 
 
 def _golden_circuit():
@@ -751,14 +800,14 @@ class TestCliffordFrame:
         states, ref_rows, _ = _reference_evolve(circuit, observable, delta)
 
         every = range(1, len(gates) + 1)
-        final, trace = evolve(circuit, observable, delta, snapshot_gates=every,
-                              track_peak_snapshot=True)
+        keep = _Keeper(every)
+        final, trace = evolve(circuit, observable, delta, on_gate=keep)
         _assert_state(final, states[-1])
         _assert_trace_matches(trace, ref_rows)
-        assert set(trace.snapshots) == set(every)
-        for k, snap in trace.snapshots.items():
+        assert set(keep.snapshots) == set(every)
+        for k, snap in keep.snapshots.items():
             _assert_state(snap, states[k])
-        k_peak, peak = trace.peak_snapshot
+        k_peak, peak = keep.peak()
         assert k_peak == trace.k_star
         _assert_state(peak, states[k_peak])
 
@@ -804,13 +853,16 @@ class TestCliffordFrame:
         obs = PauliSum.from_terms(3, [("Z1", 1.0)])
         circuit = _circuit(3, [("X1", 0.3), ("Z1*Z2", math.pi), ("Y0*Y1", -0.7),
                                ("X2", 2 * math.pi)])
+        keep = _Keeper((2,))
         with mock.patch.object(frame, "Frame") as made:
-            final, trace = evolve(circuit, obs, 0.0, snapshot_gates=(2,), track_peak_snapshot=True)
+            final, trace = evolve(circuit, obs, 0.0, on_gate=keep)
+            k_peak, peak = keep.peak()
         made.assert_not_called()
         assert trace.absorbed == 0
         states, ref_rows, _ = _reference_evolve(circuit, obs, 0.0)
         _assert_state(final, states[-1])
-        _assert_state(trace.snapshots[2], states[2])
+        _assert_state(keep.snapshots[2], states[2])
+        _assert_state(peak, states[k_peak])
 
     @pytest.mark.parametrize("n", [70, 130])  # 2 and 3 words per half
     def test_round_trip(self, n, monkeypatch):
@@ -875,10 +927,10 @@ class TestLayoutBoundary:
             return evolve(Circuit(n=n, gates=circuit.gates[:k]), observable, delta)[0]
 
         snap_at = len(circuit.gates) // 2
-        final, trace = evolve(circuit, observable, delta, snapshot_gates=(snap_at,),
-                              track_peak_snapshot=True)
-        peak_k, peak = trace.peak_snapshot
-        states = {"final": final, "snapshot": trace.snapshots[snap_at], "peak": peak}
+        keep = _Keeper((snap_at,))
+        final, trace = evolve(circuit, observable, delta, on_gate=keep)
+        peak_k, peak = keep.peak()
+        states = {"final": final, "snapshot": keep.snapshots[snap_at], "peak": peak}
 
         with pytest.raises(RowCapExceeded) as capped:
             evolve(circuit, observable, delta, row_cap=trace.n_max - 1)

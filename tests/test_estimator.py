@@ -14,7 +14,6 @@ from pauliprop import (
     kicked_ising,
 )
 from pauliprop.estimator import (
-    EstimationImpossible,
     ProbeResult,
     ProbeSeries,
     nmax_gap_formula,
@@ -128,7 +127,7 @@ class TestPredictRuntime:
 
     def test_needs_two_tail_points(self):
         series = _series([0.01, 0.005], [5, 9])
-        with pytest.raises(EstimationImpossible):
+        with pytest.raises(ValueError):
             predict_runtime(series.probes, [1e-4], tail_points=1)
 
     def test_negative_tail_rejected(self):
@@ -195,7 +194,7 @@ class TestRunProbes:
 
         monkeypatch.setattr(estimator, "evolve", no_evolve)
         circ, obs = self._small_problem()
-        with pytest.raises(EstimationImpossible):
+        with pytest.raises(ValueError):
             run_probes(circ, obs, count=1)
 
     def test_budget_stops_early(self):
