@@ -80,12 +80,6 @@ class PowerLawModel:
         a = abs(float(t))
         return float(self.A / a ** (self.m + 1)) if a >= self.delta else 0.0
 
-    def abs_tail_mass(self, a: float) -> float:
-        """Pr(|c| >= a)."""
-        if a <= self.delta:
-            return 1.0
-        return (self.delta / a) ** self.m
-
     def signed_cdf(self, y: float) -> float:
         """Pr(c <= y)."""
         if y <= -self.delta:
@@ -93,10 +87,6 @@ class PowerLawModel:
         if y < self.delta:
             return 0.5
         return 1.0 - 0.5 * (self.delta / y) ** self.m
-
-    def normalization_residual(self) -> float:
-        """|2 * integral_delta^inf rho - 1|; zero up to roundoff by construction."""
-        return abs(2.0 * self.A * self.delta ** (-self.m) / self.m - 1.0)
 
 
 @dataclass
@@ -223,7 +213,10 @@ def fit_m_mle(abs_coeffs, x_min: float) -> float:
     """Maximum-likelihood exponent: m = N / sum(log(|c| / x_min)).
 
     Only samples with |c| >= x_min qualify; smaller samples are excluded.
+    x_min must be positive.
     """
+    if not x_min > 0:
+        raise ValueError(f"x_min must be positive, got {x_min}")
     values = np.abs(np.asarray(abs_coeffs, dtype=float))
     values = values[values >= x_min]
     if values.size == 0:

@@ -81,6 +81,7 @@ from .estimator import (
     DEFAULT_PROBE_COUNT,
     DEFAULT_RATIO,
     DEFAULT_TAIL_POINTS,
+    _probe_deltas,
     predict_resources,
     run_probes,
 )
@@ -311,18 +312,19 @@ def cmd_run(args, manifest: _Manifest) -> None:
 def cmd_estimate(args, manifest: _Manifest) -> None:
     circuit, observable = _inputs(args)
 
-    # run_probes rejects a bad --count or --ratio before its first probe; the
-    # library checks --tail-points and --targets only after probing
+    # the library checks --tail-points and --targets only after probing, so
+    # every option is checked here first, the probe deltas before the targets
     if args.tail_points < 0 or args.tail_points == 1:
         raise UsageError(f"--tail-points must be 0 (all) or at least 2, got {args.tail_points}")
+    finest_probe = _probe_deltas(args.delta0, args.ratio, args.count)[-1]
     targets = _parse_float_list(args.targets)
     if not targets:
         raise UsageError("--targets must list at least one delta")
-    finest_probe = args.delta0 * args.ratio ** max(args.count - 1, 0)  # a bad count fails later
     for t in targets:
-        if t >= finest_probe:
+        if not 0 < t < finest_probe:
             raise UsageError(
-                f"target delta {t} must be below the finest probe delta {finest_probe:g}"
+                f"target delta {t} must be positive and below the finest probe delta "
+                f"{finest_probe:g}"
             )
 
     series = run_probes(
@@ -405,7 +407,11 @@ def cmd_analyze(args, manifest: _Manifest) -> None:
         raise UsageError("--trace input supports --spikes analysis")
     if args.s_theta and (args.m is None or args.delta is None):
         raise UsageError("--s-theta requires --m and --delta")
+    if snap is not None and (args.mle or args.regression) and not args.delta > 0:
+        raise UsageError(f"a fit needs a positive --delta, got {args.delta}")
     xmin_mults = _parse_float_list(args.xmin_mult) if snap is not None and args.mle else []
+    if not all(mult > 0 for mult in xmin_mults):
+        raise UsageError(f"--xmin-mult must list positive multiples, got {args.xmin_mult!r}")
     trace = TraceLog.from_csv(args.trace) if args.trace else None
 
     if snap is not None:

@@ -19,15 +19,16 @@ state once, so phi and eta are recorded as before, and it repeats the
 previous norm.  Until the first absorb there is no frame.
 
 Idle gates are skipped without touching a row.  :func:`evolve` keeps a
-light cone: the OR of every true row's words with the z and x halves
-swapped.  A row can anti-commute with a generator only if it shares a bit
-with the generator's swapped form, so a generator that misses the cone has
-no anti-commuting row, and its gate is recorded with phi = eta = 0 and the
-previous norm.  A gate adds only rows P ^ sigma, so after each active gate,
-absorbed or not, the cone takes in the swapped generator; truncation can
-leave the cone larger than the state, never smaller.  The cone and its test
-use the unframed generator, so a generator is framed only for gates that
-pass it.
+light cone, one int in a string's own coordinates: the OR over every true
+row of x | z << n, its halves swapped.  A row P can anti-commute with a
+generator sigma only if x_P & z_sigma or z_P & x_sigma is nonzero, that is
+only if the cone shares a bit with z_sigma | x_sigma << n; a generator that
+misses the cone has no anti-commuting row, and its gate is recorded with
+phi = eta = 0 and the previous norm.  A gate adds only rows P ^ sigma, so
+after each active gate, absorbed or not, the cone takes in the generator's
+swapped bits x_sigma | z_sigma << n; truncation can leave the cone larger
+than the state, never smaller.  The cone and its test use the unframed
+generator, so a generator is framed only for gates that pass it.
 
 Rows are kept in canonical packed order throughout, which makes every run
 bit-identical.  Each gate is composed from vectorized numpy pieces over the
@@ -218,8 +219,8 @@ class _Generator(NamedTuple):
     words: np.ndarray
     canon: int
     orientation: float
-    mask: int  # the words as one int, for the light-cone test
-    cross_mask: int  # the words with z and x halves swapped, as one int
+    mask: int  # z | x << n, for the light-cone test
+    cross_mask: int  # x | z << n, the bits the gate adds to the cone
     rows: tuple[int, ...]  # tableau rows of its letters: Z_q at q, then X_q at n + q
     anti_rows: tuple[int, ...]  # tableau rows of the generators it anti-commutes with
 
@@ -238,14 +239,6 @@ def _take(bits, index):
     rows = _rows(bits)
     picked = np.compress(index, rows) if index.dtype == bool else np.take(rows, index)
     return picked.view(np.uint64).reshape(-1, bits.shape[1])
-
-
-def _as_int(words: np.ndarray) -> int:
-    return int.from_bytes(np.ascontiguousarray(words, dtype="<u8").tobytes(), "little")
-
-
-def _swap_halves(words: np.ndarray) -> np.ndarray:
-    return np.roll(words, len(words) // 2)
 
 
 def _prepare_generator(sigma: PauliString, n: int) -> _Generator:
@@ -270,7 +263,7 @@ def _prepare_generator(sigma: PauliString, n: int) -> _Generator:
         )
     z, x = _qubits(sigma.z), _qubits(sigma.x)
     return _Generator(
-        words, canon, orientation, _as_int(words), _as_int(_swap_halves(words)),
+        words, canon, orientation, sigma.z | sigma.x << n, sigma.x | sigma.z << n,
         rows=tuple(z + [n + q for q in x]), anti_rows=tuple(x + [n + q for q in z]),
     )
 
@@ -519,7 +512,8 @@ def evolve(
     # passes it
     bits, coeffs, _ = _threshold(observable.bits.byteswap(), observable.coeffs.copy(), delta)
     norm = math.sqrt(pairwise_dot(coeffs, coeffs))
-    cone = _as_int(_swap_halves(np.bitwise_or.reduce(bits, axis=0)))
+    reach = PauliString.from_words(n, *np.bitwise_or.reduce(bits, axis=0).byteswap().reshape(2, -1))
+    cone = reach.x | reach.z << n  # the OR of the thresholded rows, halves swapped
     frame = None  # made at the first absorbed quarter turn
 
     gates = trace.gates

@@ -135,6 +135,20 @@ def probe(
     )
 
 
+def _probe_deltas(delta_0: float, ratio: float, count: int) -> list[float]:
+    """The probe thresholds delta_i = ratio^i * delta_0 for i = 0..count-1.
+
+    ValueError unless count >= 2, 0 < ratio < 1 and delta_0 > 0.
+    """
+    if count < 2:
+        raise ValueError(f"count must be >= 2 for a regression, got {count}")
+    if not (0.0 < ratio < 1.0):
+        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
+    if not delta_0 > 0:
+        raise ValueError(f"delta_0 must be positive, got {delta_0}")
+    return [(ratio**i) * delta_0 for i in range(count)]
+
+
 def run_probes(
     circuit: Circuit,
     observable: PauliSum,
@@ -146,21 +160,18 @@ def run_probes(
 ) -> ProbeSeries:
     """Probe at delta_i = ratio^i * delta_0 for i = 0..count-1.
 
-    A count below two or a ratio outside (0, 1) raises ValueError before any
-    probe runs.  The series stops early when the wall budget runs out, and raises
-    BudgetExceeded if that leaves fewer than two probes.  A probe past
-    ``row_cap`` rows raises RowCapExceeded.
+    A count below two, a ratio outside (0, 1) or a delta_0 <= 0 raises
+    ValueError before any probe runs.  The series stops early when the wall
+    budget runs out, and raises BudgetExceeded if that leaves fewer than two
+    probes.  A probe past ``row_cap`` rows raises RowCapExceeded.
     """
-    if count < 2:
-        raise ValueError(f"count must be >= 2 for a regression, got {count}")
-    if not (0.0 < ratio < 1.0):
-        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
+    deltas = _probe_deltas(delta_0, ratio, count)
     series = ProbeSeries(
         probes=[], delta_0=delta_0, ratio=ratio, requested_count=count,
         initial_norm=observable.raw_norm(), n_qubits=circuit.n,
     )
     start = time.monotonic()
-    for i in range(count):
+    for delta in deltas:
         remaining = None
         if budget_s is not None:
             remaining = budget_s - (time.monotonic() - start)
@@ -169,7 +180,7 @@ def run_probes(
                 break
         try:
             series.probes.append(
-                probe(circuit, observable, (ratio**i) * delta_0, budget_s=remaining, row_cap=row_cap)
+                probe(circuit, observable, delta, budget_s=remaining, row_cap=row_cap)
             )
         except BudgetExceeded:
             series.budget_exhausted = True

@@ -25,7 +25,7 @@ import copy
 import numpy as np
 
 from . import kernels
-from .pauli import InvariantViolation, words_per_half
+from .pauli import InvariantViolation, _nu_rows, words_per_half
 
 __all__ = ["Frame"]
 
@@ -136,10 +136,10 @@ class Frame:
     Φ is a composition of exact quarter turns, so it maps each Pauli string
     to a signed Pauli string.  It is kept as the tableau of Φ⁻¹
     (Aaronson and Gottesman, quant-ph/0406196): ``inv[r]`` is Φ⁻¹ of
-    generator r (Z_q at row q, X_q at row n + q) as (z, x, alpha),
-    native-order ints for the halves and (-i)^alpha for the phase.  Φ⁻¹
-    frames gate generators; Φ, needed only to unframe a state, is taken
-    from it then (:meth:`_image`).
+    generator r (Z_q at row q, X_q at row n + q) as (z, x, alpha), the
+    halves as a :class:`~pauliprop.pauli.PauliString` holds them and
+    (-i)^alpha for the phase.  Φ⁻¹ frames gate generators; Φ, needed only
+    to unframe a state, is taken from it then (:meth:`_image`).
     """
 
     def __init__(self, n: int):
@@ -170,9 +170,7 @@ class Frame:
         z, x, alpha = self._inverse(prep)
         canon = (z & x).bit_count() % 4
         sign = -1.0 if (alpha - canon) % 4 else 1.0
-        w = len(prep.words) // 2
-        words = np.frombuffer(z.to_bytes(8 * w, "little") + x.to_bytes(8 * w, "little"), np.uint64)
-        return words.byteswap(), canon, prep.orientation * sign
+        return _nu_rows(self.n, [(z, x)])[0].byteswap(), canon, prep.orientation * sign
 
     def absorb(self, prep, sin_t: float) -> None:
         """Compose the quarter turn G: P -> sin_t * i sigma P (anti-commuting P) onto Φ.
@@ -197,8 +195,7 @@ class Frame:
         +-g_s, the sign of Φ(g_s).
         """
         n, w = self.n, words_per_half(self.n)
-        raw = b"".join(h.to_bytes(8 * w, "little") for z, x, _ in self.inv for h in (z, x))
-        native = np.frombuffer(raw, np.uint64).reshape(2 * n, 2 * w)
+        native = _nu_rows(n, [(z, x) for z, x, _ in self.inv])
         inverse = native.byteswap()
         inverse_phases = np.array([alpha for _, _, alpha in self.inv], np.uint8)
 

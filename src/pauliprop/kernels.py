@@ -7,8 +7,9 @@ The canonical row order used everywhere is word-by-word unsigned comparison
 of the native words (column 0 first), which is memcmp order on these bytes,
 so :func:`pack_keys` is a zero-copy view.  AND, XOR and popcount do not
 depend on byte order, so the bit kernels read the keyed rows as they are.
-A caller holding native rows (a ``PauliSum``'s ``bits``, a generator's
-``nu_words()``) passes ``.byteswap()`` of them.
+A caller holding native rows passes ``.byteswap()`` of them: a
+``PauliSum``'s ``bits``, or a generator's ``nu_words()``, the words of the
+z and x ints a :class:`~pauliprop.pauli.PauliString` holds.
 
 Kernels do integer and bit work only; all floating-point arithmetic stays
 in the engine.

@@ -1,8 +1,8 @@
-"""Bit-packed symplectic algebra for n-qubit Pauli strings.
+"""Symplectic algebra for n-qubit Pauli strings.
 
-A Pauli string is stored as a boolean vector nu of length 2n (z bits first,
-then x bits, each half packed into 64-bit words) together with an integer
-phase exponent alpha, representing the operator
+A Pauli string is stored as two non-negative ints z and x, bit q of each
+being qubit q, together with an integer phase exponent alpha, representing
+the operator
 
     P = (-i)^alpha  *  prod_l  Z^z_l X^x_l   (qubit l).
 
@@ -10,12 +10,17 @@ Under this convention a plain label letter carries alpha = (#Y sites) mod 4,
 e.g. Y = (-i) Z X on its qubit.  All phase bookkeeping stays in the single
 integer channel; externally observable quantities are validated against
 dense matrix oracles in the test suite.
+
+The rows of a :class:`~pauliprop.sums.PauliSum` hold the same bits as uint64
+words: nu = (z, x), each half in ceil(n/64) words, qubit q at bit q % 64 of
+word q // 64.  :meth:`PauliString.from_words` and
+:meth:`PauliString.nu_words` convert between the two forms.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +35,6 @@ __all__ = [
     "words_per_half",
 ]
 
-_WORD_BITS = 64
-_WORD_MASK = (1 << _WORD_BITS) - 1
-
 _SPARSE_FACTOR = re.compile(r"^([IXYZ])(\d+)$")
 
 
@@ -46,69 +48,52 @@ class InvariantViolation(RuntimeError):
 
 def words_per_half(n: int) -> int:
     """Number of 64-bit words needed for one half (z or x) of nu."""
-    return (n + _WORD_BITS - 1) // _WORD_BITS
+    return (n + 63) // 64
 
 
-def _popcount_words(words: tuple[int, ...]) -> int:
-    return sum(w.bit_count() for w in words)
-
-
-def _and_words(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x & y for x, y in zip(a, b))
-
-
-def _xor_words(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
-def _qubits(words) -> list[int]:
-    """The qubits whose bit is set in one half, given as native words, ascending."""
+def _qubits(bits: int) -> list[int]:
+    """The qubits whose bit is set, ascending."""
     out = []
-    for i, word in enumerate(words):
-        while word:
-            low = word & -word
-            out.append(_WORD_BITS * i + low.bit_length() - 1)
-            word ^= low
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
     return out
+
+
+def _nu_rows(n: int, halves) -> np.ndarray:
+    """The uint64 rows [z words..., x words...] of (z, x) pairs of n-qubit halves."""
+    w = words_per_half(n)
+    raw = b"".join([z.to_bytes(8 * w, "little") + x.to_bytes(8 * w, "little") for z, x in halves])
+    return np.frombuffer(bytearray(raw), np.uint64).reshape(-1, 2 * w)
 
 
 @dataclass(frozen=True)
 class PauliString:
-    """Immutable packed Pauli string; safe to share between threads.
+    """Immutable Pauli string; safe to share between threads.
 
     Attributes
     ----------
     n : int
         Qubit count.
-    z : tuple of int
-        z-half of nu, ceil(n/64) words, qubit l in word l//64 bit l%64.
-    x : tuple of int
-        x-half of nu, same packing.
+    z : int
+        z-half of nu, qubit q at bit q; no bit at or above n.
+    x : int
+        x-half of nu, same layout.
     alpha : int
         Phase exponent modulo 4; the operator carries (-i)^alpha.
     """
 
     n: int
-    z: tuple[int, ...] = field(default=())
-    x: tuple[int, ...] = field(default=())
+    z: int = 0
+    x: int = 0
     alpha: int = 0
 
     def __post_init__(self):
         if self.n <= 0:
             raise PauliError(f"qubit count must be positive, got {self.n}")
-        w = words_per_half(self.n)
-        z = tuple(self.z) if self.z else (0,) * w
-        x = tuple(self.x) if self.x else (0,) * w
-        if len(z) != w or len(x) != w:
-            raise PauliError(f"expected {w} words per half for n={self.n}")
-        # padding above bit n must be clean
-        tail = self.n % _WORD_BITS
-        if tail:
-            pad = _WORD_MASK ^ ((1 << tail) - 1)
-            if (z[-1] & pad) or (x[-1] & pad):
-                raise PauliError("padding bits beyond qubit n are set")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "x", x)
+        if (self.z | self.x) >> self.n:  # also true for a negative half
+            raise PauliError(f"bits beyond qubit {self.n - 1} are set")
         object.__setattr__(self, "alpha", self.alpha % 4)
 
     # -- constructors ------------------------------------------------------
@@ -134,37 +119,30 @@ class PauliString:
         return cls._from_dense(label)
 
     @classmethod
+    def _from_letters(cls, n: int, letters) -> "PauliString":
+        """The plain string with letter ch on qubit q for each (q, ch), in canonical phase."""
+        z = x = 0
+        for q, ch in letters:
+            if ch in "ZY":
+                z |= 1 << q
+            if ch in "XY":
+                x |= 1 << q
+        return cls(n=n, z=z, x=x, alpha=(z & x).bit_count())
+
+    @classmethod
     def _from_dense(cls, label: str) -> "PauliString":
-        n = len(label)
-        w = words_per_half(n)
-        z = [0] * w
-        x = [0] * w
-        n_y = 0
-        for q, ch in enumerate(label):
-            if ch == "I":
-                continue
-            word, bit = q // _WORD_BITS, q % _WORD_BITS
-            if ch in ("Z", "Y"):
-                z[word] |= 1 << bit
-            if ch in ("X", "Y"):
-                x[word] |= 1 << bit
-            if ch == "Y":
-                n_y += 1
+        for ch in label:
             if ch not in "IXYZ":
                 raise PauliError(f"bad Pauli letter {ch!r} in {label!r}")
-        return cls(n=n, z=tuple(z), x=tuple(x), alpha=n_y % 4)
+        return cls._from_letters(len(label), enumerate(label))
 
     @classmethod
     def _from_sparse(cls, label: str, n: int | None) -> "PauliString":
         if n is None:
             raise PauliError("sparse labels need an explicit qubit count")
-        w = words_per_half(n)
-        z = [0] * w
-        x = [0] * w
-        n_y = 0
-        seen = set()
         if label == "I":
             return cls(n=n)
+        letters = {}
         for factor in label.split("*"):
             m = _SPARSE_FACTOR.match(factor.strip())
             if not m:
@@ -172,70 +150,48 @@ class PauliString:
             ch, q = m.group(1), int(m.group(2))
             if q >= n:
                 raise PauliError(f"qubit {q} out of range for n={n}")
-            if q in seen:
+            if q in letters:
                 raise PauliError(f"qubit {q} repeated in {label!r}")
-            seen.add(q)
-            if ch == "I":
-                continue
-            word, bit = q // _WORD_BITS, q % _WORD_BITS
-            if ch in ("Z", "Y"):
-                z[word] |= 1 << bit
-            if ch in ("X", "Y"):
-                x[word] |= 1 << bit
-            if ch == "Y":
-                n_y += 1
-        return cls(n=n, z=tuple(z), x=tuple(x), alpha=n_y % 4)
+            letters[q] = ch
+        return cls._from_letters(n, letters.items())
 
     @classmethod
     def from_words(cls, n: int, z_words, x_words, alpha: int | None = None) -> "PauliString":
-        """Build from packed words; alpha defaults to the canonical phase."""
-        z = tuple(int(v) for v in z_words)
-        x = tuple(int(v) for v in x_words)
-        if alpha is None:
-            alpha = _popcount_words(_and_words(z, x)) % 4
-        return cls(n=n, z=z, x=x, alpha=alpha)
+        """Build from the uint64 words of each half; alpha defaults to the canonical phase."""
+        z = int.from_bytes(np.asarray(z_words, np.uint64).tobytes(), "little")
+        x = int.from_bytes(np.asarray(x_words, np.uint64).tobytes(), "little")
+        return cls(n=n, z=z, x=x, alpha=(z & x).bit_count() if alpha is None else alpha)
 
     # -- views -------------------------------------------------------------
 
     def nu_words(self) -> np.ndarray:
-        """Packed nu as a uint64 array [z_words..., x_words...]."""
-        return np.array(self.z + self.x, dtype=np.uint64)
+        """nu as a new uint64 array [z_words..., x_words...]."""
+        return _nu_rows(self.n, [(self.z, self.x)])[0]
 
     def letter(self, q: int) -> str:
-        word, bit = q // _WORD_BITS, q % _WORD_BITS
-        zb = (self.z[word] >> bit) & 1
-        xb = (self.x[word] >> bit) & 1
-        return "IXZY"[xb + 2 * zb]
+        return "IXZY"[(self.x >> q & 1) + 2 * (self.z >> q & 1)]
 
     def weight(self) -> int:
         """Number of non-identity sites."""
-        or_words = tuple(a | b for a, b in zip(self.z, self.x))
-        return _popcount_words(or_words)
+        return (self.z | self.x).bit_count()
 
     def y_count(self) -> int:
-        return _popcount_words(_and_words(self.z, self.x))
+        return (self.z & self.x).bit_count()
 
     def canonical_alpha(self) -> int:
         """Phase exponent that makes this nu a plain-letter Pauli string."""
         return self.y_count() % 4
 
     def is_z_type(self) -> bool:
-        return not any(self.x)
+        return self.x == 0
 
     def to_label(self) -> str:
         """Dense `IXYZ` label, qubit 0 leftmost (phase not included)."""
-        letters = []
-        for q in range(self.n):
-            word, bit = q // _WORD_BITS, q % _WORD_BITS
-            zb = (self.z[word] >> bit) & 1
-            xb = (self.x[word] >> bit) & 1
-            letters.append("IXZY"[xb + 2 * zb])
-        return "".join(letters)
+        return "".join(self.letter(q) for q in range(self.n))
 
     def to_sparse_label(self) -> str:
         """Sparse `X3*Z7` form; identity becomes `I`."""
-        support = _qubits(tuple(a | b for a, b in zip(self.z, self.x)))
-        return "*".join(f"{self.letter(q)}{q}" for q in support) or "I"
+        return "*".join(f"{self.letter(q)}{q}" for q in _qubits(self.z | self.x)) or "I"
 
     def __repr__(self) -> str:
         return f"PauliString({self.to_sparse_label()!r}, n={self.n}, alpha={self.alpha})"
@@ -252,24 +208,18 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     Symplectic parity test: parity(x_p & z_q) XOR parity(z_p & x_q) == 0.
     """
     _check_same_n(p, q)
-    s = _popcount_words(_and_words(p.x, q.z)) ^ _popcount_words(_and_words(p.z, q.x))
-    return (s & 1) == 0
+    return ((p.x & q.z).bit_count() ^ (p.z & q.x).bit_count()) & 1 == 0
 
 
 def multiply_by_generator(p: PauliString, sigma: PauliString) -> PauliString:
-    """Left product sigma * p in packed form.
+    """Left product sigma * p.
 
     nu' = nu_p XOR nu_sigma and alpha' = alpha_p + alpha_sigma
     + 2 * count(z_p & x_sigma), reduced mod 4.
     """
     _check_same_n(p, sigma)
-    alpha = (p.alpha + sigma.alpha + 2 * _popcount_words(_and_words(p.z, sigma.x))) % 4
-    return PauliString(
-        n=p.n,
-        z=_xor_words(p.z, sigma.z),
-        x=_xor_words(p.x, sigma.x),
-        alpha=alpha,
-    )
+    alpha = p.alpha + sigma.alpha + 2 * (p.z & sigma.x).bit_count()
+    return PauliString(n=p.n, z=p.z ^ sigma.z, x=p.x ^ sigma.x, alpha=alpha)
 
 
 def expectation_on_zero(p: PauliString) -> float:

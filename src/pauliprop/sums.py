@@ -12,13 +12,12 @@ canonical order (word-by-word unsigned comparison, column 0 first; see
 
 from __future__ import annotations
 
-import bisect
 import csv
 
 import numpy as np
 
 from . import kernels
-from .pauli import PauliError, PauliString, canonical_real_coefficient, words_per_half
+from .pauli import PauliError, PauliString, _nu_rows, canonical_real_coefficient, words_per_half
 
 __all__ = ["PauliSum", "pairwise_dot"]
 
@@ -63,38 +62,23 @@ class PauliSum:
         Coefficients of a repeated string add up in input order; rows that
         sum to exactly zero are dropped.
         """
-        acc: dict[tuple[int, ...], float] = {}
+        acc: dict[tuple[int, int], float] = {}
         for p, c in terms:
             if isinstance(p, str):
                 p = PauliString.from_label(p, n)
             elif p.n != n:
                 raise PauliError(f"size mismatch: {p.n} vs {n} qubits")
-            key = p.z + p.x
+            key = (p.z, p.x)
             acc[key] = acc.get(key, 0.0) + canonical_real_coefficient(c, p)
-        # tuples of words compare word by word: sorted() is canonical order
-        keys = [key for key in sorted(acc) if acc[key] != 0.0]
-        width = 2 * words_per_half(n)
-        bits = np.array(keys, dtype=np.uint64).reshape(len(keys), width)
-        return cls(n, bits, [acc[key] for key in keys])
+        keys = [key for key, c in acc.items() if c != 0.0]
+        bits = _nu_rows(n, keys)
+        order = kernels.sort_order(bits.byteswap())
+        return cls(n, bits[order], np.array([acc[key] for key in keys])[order])
 
     # -- views -------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    def _find(self, p: PauliString) -> int:
-        """The slot of p's row, or -1 when absent."""
-        if p.n != self.n:
-            raise PauliError(f"size mismatch: {p.n} vs {self.n} qubits")
-        # canonical order is the order of the rows as tuples of words
-        target = p.z + p.x
-        slot = bisect.bisect_left(self.bits, target, key=lambda row: tuple(row.tolist()))
-        if slot < len(self) and tuple(self.bits[slot].tolist()) == target:
-            return slot
-        return -1
-
-    def __contains__(self, p: PauliString) -> bool:
-        return self._find(p) >= 0
 
     def string_at(self, slot: int) -> PauliString:
         row = self.bits[slot]
@@ -119,10 +103,6 @@ class PauliSum:
     def raw_norm(self) -> float:
         """Euclidean norm of the coefficient vector, (sum c^2)^(1/2)."""
         return float(np.sqrt(pairwise_dot(self.coeffs, self.coeffs)))
-
-    def coefficient_of(self, p: PauliString) -> float:
-        slot = self._find(p)
-        return float(self.coeffs[slot]) if slot >= 0 else 0.0
 
     # -- snapshot export ---------------------------------------------------
 

@@ -110,22 +110,9 @@ def power_law_samples(m: float, delta: float, size: int, rng, signed: bool = Fal
 
 def reference_partition(pauli_sum, sigma):
     """Brute-force partition using python ints and a dict, for phi/eta."""
-    n = pauli_sum.n
-    rows = [p for p, _ in pauli_sum.terms()]
-
-    def as_int(words):
-        out = 0
-        for i, w in enumerate(words):
-            out |= int(w) << (64 * i)
-        return out
-
-    sz, sx = as_int(sigma.z), as_int(sigma.x)
-    keys = set()
-    packed = []
-    for p in rows:
-        z, x = as_int(p.z), as_int(p.x)
-        packed.append((z, x))
-        keys.add((z, x))
+    packed = [(p.z, p.x) for p, _ in pauli_sum.terms()]
+    keys = set(packed)
+    sz, sx = sigma.z, sigma.x
     comm, anti = [], []
     paired = 0
     for i, (z, x) in enumerate(packed):
@@ -136,7 +123,7 @@ def reference_partition(pauli_sum, sigma):
             anti.append(i)
             if (z ^ sz, x ^ sx) in keys:
                 paired += 1
-    n_rows = len(rows)
+    n_rows = len(packed)
     phi = len(anti) / n_rows if n_rows else 0.0
     eta = paired / n_rows if n_rows else 0.0
     return comm, anti, phi, eta

@@ -30,7 +30,8 @@ class TestPowerLawModel:
         for m in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             for delta in (1e-8, 1e-5, 1e-2):
                 model = PowerLawModel(m=m, delta=delta)
-                assert model.normalization_residual() < 1e-10
+                # |2 * integral_delta^inf rho - 1|
+                assert abs(2.0 * model.A * model.delta ** (-model.m) / model.m - 1.0) < 1e-10
 
     def test_density_zero_inside_chasm(self):
         model = PowerLawModel(m=1.5, delta=1e-3)
@@ -48,7 +49,7 @@ class TestPowerLawModel:
         model = PowerLawModel(m=1.5, delta=1e-4)
         for a in (1e-4, 5e-4, 1e-2):
             num, _ = quad(model.density, a, np.inf)
-            assert abs(2 * num - model.abs_tail_mass(a)) < 1e-9
+            assert abs(2 * num - (model.delta / a) ** model.m) < 1e-9  # Pr(|c| >= a)
 
 
 class TestHistogram:
@@ -151,6 +152,12 @@ class TestFitMle:
         with pytest.raises(ValueError):
             fit_m_mle(np.array([1e-5]), 1e-3)
 
+    @pytest.mark.parametrize("x_min", [0.0, -1e-3])
+    def test_nonpositive_xmin_rejected(self, x_min):
+        # every sample would qualify and log(|c| / x_min) is not a finite sum
+        with pytest.raises(ValueError, match="x_min must be positive"):
+            fit_m_mle(np.array([1e-3, 2e-3]), x_min)
+
 
 class TestMomentEstimate:
     def test_l2_identity_exact(self):
@@ -208,7 +215,8 @@ class TestConvolution:
             total += v
         # analytic bound on the remaining tail mass: between rho tail and
         # its one-big-jump asymptote
-        lo, hi = model.abs_tail_mass(1024 * d), 1.11 * model.abs_tail_mass(1024 * d)
+        tail = (d / (1024 * d)) ** model.m  # Pr(|c| >= 1024 d)
+        lo, hi = tail, 1.11 * tail
         assert total + lo < 1.0 + 1e-6
         assert total + hi > 1.0 - 1e-4
 

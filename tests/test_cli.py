@@ -499,10 +499,18 @@ class TestEstimate:
         assert code == EXIT_USAGE
         assert not (tmp_path / "est").exists()
 
-    @pytest.mark.parametrize("option", [
-        ["--ratio", "1.5"], ["--ratio", "1"], ["--tail-points", "1"], ["--tail-points", "-1"],
-    ], ids=["ratio-1.5", "ratio-1", "tail-points-1", "tail-points-neg"])
-    def test_bad_option_fails_before_probing(self, small_circuit, tmp_path, monkeypatch, option):
+    @pytest.mark.parametrize("option, message", [
+        (["--ratio", "1.5"], "ratio must lie in (0, 1)"),
+        (["--ratio", "1"], "ratio must lie in (0, 1)"),
+        (["--tail-points", "1"], "--tail-points must be"),
+        (["--tail-points", "-1"], "--tail-points must be"),
+        (["--delta0", "0", "--targets", "-1"], "delta_0 must be positive"),
+        (["--targets", "0"], "target delta 0.0 must be positive"),
+        (["--ratio", "-0.5", "--count", "2", "--targets", "0.001"], "ratio must lie in (0, 1)"),
+    ], ids=["ratio-1.5", "ratio-1", "tail-points-1", "tail-points-neg", "delta0-zero",
+            "target-zero", "ratio-negative"])
+    def test_bad_option_fails_before_probing(self, small_circuit, tmp_path, monkeypatch, capsys,
+                                             option, message):
         from pauliprop import estimator
 
         def no_evolve(*args, **kwargs):
@@ -514,6 +522,7 @@ class TestEstimate:
             "--delta0", "0.05", "--targets", "0.0001", *option, "--out-dir", str(tmp_path / "est"),
         ])
         assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
     def test_targets_coarser_than_probes_rejected(self, small_circuit, tmp_path):
@@ -594,14 +603,18 @@ class TestAnalyze:
         assert main(["analyze", "--out-dir", str(tmp_path / "x")]) == EXIT_USAGE
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("flags", [
-        ["--histogram", "--mle"],
-        ["--histogram", "--regression"],
-        ["--histogram", "--s-theta", "--delta", "1e-4"],
-        ["--histogram", "--trace", "TRACE"],
+    @pytest.mark.parametrize("flags, message", [
+        (["--histogram", "--mle"], "--mle requires --delta"),
+        (["--histogram", "--regression"], "--regression requires --delta"),
+        (["--histogram", "--s-theta", "--delta", "1e-4"], "--s-theta requires --m"),
+        (["--histogram", "--trace", "TRACE"], "--spikes"),
+        (["--histogram", "--mle", "--delta", "0"], "positive --delta"),
+        (["--histogram", "--mle", "--delta", "1e-4", "--xmin-mult", "-1"], "--xmin-mult"),
+        (["--histogram", "--regression", "--delta", "-0.01"], "positive --delta"),
     ], ids=["mle-without-delta", "regression-without-delta", "s-theta-without-m",
-            "trace-without-spikes"])
-    def test_usage_error_writes_nothing(self, tmp_path, rng, flags):
+            "trace-without-spikes", "mle-delta-zero", "xmin-mult-negative",
+            "regression-delta-negative"])
+    def test_usage_error_writes_nothing(self, tmp_path, rng, capsys, flags, message):
         # each case asks for a histogram first, which would be written before the error
         trace_csv = tmp_path / "trace.csv"
         trace_csv.write_text("k,theta,phi,eta,n_before,n_after,truncated,norm,elapsed_ns\n")
@@ -609,6 +622,7 @@ class TestAnalyze:
         flags = [str(trace_csv) if f == "TRACE" else f for f in flags]
         out_dir = tmp_path / "ana"
         assert main(["analyze", *snapshot, *flags, "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_trace_missing_column_writes_nothing(self, tmp_path, rng, capsys):

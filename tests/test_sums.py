@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauliprop import PauliString, PauliSum, kernels
+from oracles import reference_partition
+from pauliprop import PauliString, PauliSum, commutes, kernels
 
 
 def _sum_from(n, pairs):
@@ -16,7 +17,7 @@ class TestInsertOrAccumulate:
     def test_insert_into_empty(self):
         s = _sum_from(3, [("Z0", 1.0)])
         assert len(s) == 1
-        assert s.coefficient_of(PauliString.from_label("Z0", 3)) == 1.0
+        assert dict(s.terms())[PauliString.from_label("Z0", 3)] == 1.0
 
     def test_exact_cancellation_removes_row(self):
         s = _sum_from(3, [("Z0", 1.0), ("Z0", -1.0)])
@@ -29,14 +30,14 @@ class TestInsertOrAccumulate:
     def test_accumulates_on_same_nu(self):
         s = _sum_from(2, [("Z0", 1.0), ("Z0", 0.25)])
         assert len(s) == 1
-        assert s.coefficient_of(PauliString.from_label("Z0", 2)) == 1.25
+        assert dict(s.terms())[PauliString.from_label("Z0", 2)] == 1.25
 
     def test_phase_folded_to_canonical_real(self):
         # alpha=2 represents the negated plain string
         p0 = PauliString.from_label("Z0", 2)
         p_neg = PauliString(n=2, z=p0.z, x=p0.x, alpha=2)
         s = _sum_from(2, [(p_neg, 1.0)])
-        assert s.coefficient_of(p0) == -1.0
+        assert dict(s.terms())[p0] == -1.0
 
     def test_size_mismatch(self):
         with pytest.raises(Exception):
@@ -101,11 +102,13 @@ class TestStructure:
         n = data.draw(st.sampled_from([20, 70, 130]))
         labels = data.draw(st.lists(_labels(n), min_size=2, max_size=12, unique=True))
         s = PauliSum.from_terms(n, [(label, 1.0 + i) for i, label in enumerate(labels)])
+        terms = dict(s.terms())
         for p, c in s.terms():
-            assert p in s and s.coefficient_of(p) == c
+            p = PauliString.from_label(p.to_sparse_label(), n)
+            assert p in terms and terms[p] == c
         other = PauliString.from_label(data.draw(_labels(n)), n)
         if other.nu_words().tobytes() not in {row.tobytes() for row in s.bits}:
-            assert other not in s and s.coefficient_of(other) == 0.0
+            assert other not in terms and terms.get(other, 0.0) == 0.0
 
         buf = io.BytesIO()
         np.savez_compressed(buf, n=n, bits=s.bits[::-1], coeffs=s.coeffs[::-1])
@@ -114,10 +117,40 @@ class TestStructure:
         assert back.bits.tobytes() == s.bits.tobytes()
         assert back.coeffs.tobytes() == s.coeffs.tobytes()
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_strings_across_word_boundaries(self, data):
+        # letters on both sides of each 64-bit word boundary
+        n = data.draw(st.sampled_from([63, 64, 65, 127, 128, 129]))
+        edges = [q for q in (0, 63, 64, 127, 128, n - 1) if q < n]
+        qubit = st.sampled_from(edges) | st.integers(0, n - 1)
+        letters = st.dictionaries(qubit, st.sampled_from("XYZ"), min_size=1, max_size=6)
+        strings = [
+            PauliString.from_label("*".join(f"{ch}{q}" for q, ch in d.items()), n)
+            for d in data.draw(st.lists(letters, min_size=1, max_size=8))
+        ]
+        strings = list(dict.fromkeys(strings))
+        for p in strings:
+            assert PauliString.from_label(p.to_sparse_label(), n) == p
+            assert PauliString.from_words(n, *p.nu_words().reshape(2, -1)) == p
+
+        s = PauliSum.from_terms(n, [(p, 1.0 + i) for i, p in enumerate(strings)])
+        sigma = data.draw(st.sampled_from(strings))
+        comm, _, _, _ = reference_partition(s, sigma)
+        assert comm == [i for i, (p, _) in enumerate(s.terms()) if commutes(p, sigma)]
+
+        # canonical order is the order of the rows as tuples of native words
+        w = (n + 63) // 64
+        words = sorted(
+            tuple(h >> (64 * i) & (2**64 - 1) for h in (p.z, p.x) for i in range(w))
+            for p in strings
+        )
+        assert s.bits.tolist() == [list(row) for row in words]
+
     def test_contains_and_string_at(self):
         s = _sum_from(4, [("Y2*Z3", 0.25)])
         p = PauliString.from_label("Y2*Z3", 4)
-        assert p in s
+        assert p in dict(s.terms())
         assert s.string_at(0) == p
 
 
