@@ -209,11 +209,12 @@ def fit_m_regression(abs_coeffs, delta: float, l: float = DEFAULT_REGRESSION_L) 
     )
 
 
-def fit_m_mle(abs_coeffs, x_min: float) -> float:
+def fit_m_mle(abs_coeffs, x_min: float) -> MFitResult:
     """Maximum-likelihood exponent: m = N / sum(log(|c| / x_min)).
 
-    Only samples with |c| >= x_min qualify; smaller samples are excluded.
-    x_min must be positive.
+    Only samples with |c| >= x_min qualify; smaller samples are excluded,
+    and the N that qualify are the result's ``n_samples``.  x_min must be
+    positive.
     """
     if not x_min > 0:
         raise ValueError(f"x_min must be positive, got {x_min}")
@@ -224,7 +225,7 @@ def fit_m_mle(abs_coeffs, x_min: float) -> float:
     log_sum = float(np.sum(np.log(values / x_min)))
     if log_sum == 0.0:
         raise ValueError("degenerate sample: all values equal x_min")
-    return values.size / log_sum
+    return MFitResult(method="mle", m=values.size / log_sum, x_min=x_min, n_samples=values.size)
 
 
 def moment_estimate(model: PowerLawModel, l: float, norm_sq: float) -> float:

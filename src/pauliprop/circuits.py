@@ -166,18 +166,26 @@ class Circuit:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Circuit":
-        if payload.get("format") != "pauliprop-circuit/1":
-            raise CircuitError(f"unknown circuit format {payload.get('format')!r}")
-        n = int(payload["n"])
+        fmt = payload.get("format") if isinstance(payload, dict) else None
+        if fmt != "pauliprop-circuit/1":
+            raise CircuitError(f"unknown circuit format {fmt!r}")
+        try:
+            n = int(payload["n"])
+            entries = [(str(label), float(theta)) for label, theta in payload["gates"]]
+            metadata = dict(payload.get("metadata", {}))
+        except (KeyError, TypeError, ValueError):
+            raise CircuitError(
+                "a circuit needs an integer n, a list of [label, angle] gates and a metadata object"
+            ) from None
         # one generator object per distinct label: evolve prepares each object once
         generators: dict[str, PauliString] = {}
         gates = []
-        for label, theta in payload["gates"]:
+        for label, theta in entries:
             g = generators.get(label)
             if g is None:
                 g = generators[label] = PauliString.from_label(label, n)
-            gates.append((g, float(theta)))
-        return cls(n=n, gates=tuple(gates), metadata=payload.get("metadata", {}))
+            gates.append((g, theta))
+        return cls(n=n, gates=tuple(gates), metadata=metadata)
 
     @classmethod
     def load(cls, path) -> "Circuit":

@@ -5,31 +5,35 @@ runs the command, and writes the manifest when the command returns and on
 every stop at a limit, with ``aborted`` naming the limit.  The manifest goes
 into ``--out-dir`` as ``manifest.json``, or for ``gen-circuit`` beside
 ``--out`` as ``<stem>.manifest.json``.  The output directory appears with the
-first artifact, so a usage error, raised before anything is written, leaves
-no directory.  A numerical error exits 5 without a manifest.  Data files are
-byte-stable for identical inputs: anything timing-derived (wall times,
-runtime extrapolations) lives in the manifest or a timing sidecar, never
-inside the deterministic artifacts.
+first artifact, and every command but ``run`` computes all its results
+before it writes the first.  Bad input (a bad option or option value, or an
+input file that is missing, unreadable or malformed) raises ``ValueError`` or
+``OSError`` before anything is written; :func:`main` maps it, in one place,
+to ``error: ...`` on stderr and exit 2, and no directory is left.  A
+numerical error exits 5 without a manifest.  Data files are byte-stable for
+identical inputs: anything timing-derived (wall times, runtime
+extrapolations) lives in the manifest or a timing sidecar, never inside the
+deterministic artifacts.
 
 Relative output paths resolve under $PAULIPROP_DATA_DIR when it is set.
 ``run --snapshots steps`` snapshots the peak and the end of every Trotter
 step, at multiples of the circuit file's ``metadata.gates_per_step``;
 ``--snapshots`` also takes comma-separated gate indices in 1..len(circuit).
-Anything else is a usage error, raised before anything is written.
+Anything else is bad input, rejected before anything is written.
 ``--config FILE`` supplies defaults from a JSON object keyed by option
 name (underscores); explicit flags win over the config file, which wins
 over built-in defaults, and the manifest records the resolved values.
 
-Exit codes: 0 success, 2 usage (an unreadable input file too: every input is
-read before the first artifact), 3 row-cap abort, 4 budget abort, 5 numerical
-error.  ``run`` writes each snapshot as its gate passes, and the peak when
-the run ends.  It exits 3 at ``--max-rows`` and 4 at ``--budget``, after
-writing the peak so far, its trace and its summary (with the partial state's
-value as ``partial_expectation``).  ``estimate`` exits 4 when the budget
-leaves fewer than two probes.  ``converge`` exits 4, after writing its
-artifacts, when no step completes; a budget stop after a completed step is
-the ``budget_exhausted`` status and exits 0.  A row-cap stop in ``estimate``
-or ``converge`` (at ``--max-rows``) exits 3 and writes no report.
+Exit codes: 0 success, 2 bad input, 3 row-cap abort, 4 budget abort, 5
+numerical error.  ``run`` writes each snapshot as its gate passes, and the
+peak when the run ends.  It exits 3 at ``--max-rows`` and 4 at
+``--budget``, after writing the peak so far, its trace and its summary (with
+the partial state's value as ``partial_expectation``).  ``estimate`` exits 4
+when the budget leaves fewer than two probes.  ``converge`` exits 4, after
+writing its artifacts, when no step completes; a budget stop after a
+completed step is the ``budget_exhausted`` status and exits 0.  A row-cap
+stop in ``estimate`` or ``converge`` (at ``--max-rows``) exits 3 and writes
+no report.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from .analysis import (
     DEFAULT_BINS,
     DEFAULT_REGRESSION_L,
     DEFAULT_SPIKE_THRESHOLD,
-    MFitResult,
     PowerLawModel,
     QuadratureError,
     SingularityError,
@@ -66,7 +69,6 @@ from .analysis import (
 )
 from .circuits import (
     Circuit,
-    CircuitError,
     FixedAngle,
     UniformRandomAngle,
     builtin_topology,
@@ -81,11 +83,12 @@ from .estimator import (
     DEFAULT_PROBE_COUNT,
     DEFAULT_RATIO,
     DEFAULT_TAIL_POINTS,
+    _check_targets,
     _probe_deltas,
     predict_resources,
     run_probes,
 )
-from .pauli import InvariantViolation, PauliError
+from .pauli import InvariantViolation
 from .sums import PauliSum
 
 EXIT_OK = 0
@@ -95,10 +98,6 @@ EXIT_BUDGET = 4
 EXIT_NUMERICAL = 5
 # the exit code of each way a run can stop at a limit
 ABORT_EXIT = {BudgetExceeded: EXIT_BUDGET, RowCapExceeded: EXIT_RESOURCE}
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _write_json(path, payload) -> None:
@@ -187,8 +186,12 @@ def _load_observable(spec: str, n: int) -> PauliSum:
     if path.suffix == ".json" and path.exists():
         with open(path) as fh:
             payload = json.load(fh)
-        terms = payload["terms"] if isinstance(payload, dict) else payload
-        return PauliSum.from_terms(n, [(str(lbl), float(c)) for lbl, c in terms])
+        terms = payload.get("terms") if isinstance(payload, dict) else payload
+        try:
+            terms = [(str(lbl), float(c)) for lbl, c in terms]
+        except (TypeError, ValueError):
+            raise ValueError(f"observable file {spec} must list [label, coeff] terms") from None
+        return PauliSum.from_terms(n, terms)
     return PauliSum.from_terms(n, [(spec, 1.0)])
 
 
@@ -208,7 +211,7 @@ def _parse_float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"expected a comma-separated float list, got {text!r}") from None
+        raise ValueError(f"expected a comma-separated float list, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +224,13 @@ def cmd_gen_circuit(args, manifest: _Manifest) -> None:
         topo = _resolve_topology(args.topology)
         if args.theta_x == "random":
             if args.seed is None:
-                raise UsageError("--theta-x random requires --seed")
+                raise ValueError("--theta-x random requires --seed")
             spec = UniformRandomAngle(low=args.theta_x_low, high=args.theta_x_high, seed=args.seed)
         else:
             try:
                 spec = FixedAngle(float(args.theta_x))
             except ValueError:
-                raise UsageError(f"--theta-x must be a float or 'random', got {args.theta_x!r}") from None
+                raise ValueError(f"--theta-x must be a float or 'random', got {args.theta_x!r}") from None
         circuit = kicked_ising(topo, T=args.T, theta_zz=args.theta_zz, theta_x_spec=spec)
     else:
         circuit = tfim_trotter_grid(
@@ -247,13 +250,13 @@ def cmd_gen_circuit(args, manifest: _Manifest) -> None:
 def _snapshot_gates(spec: str | None, circuit: Circuit):
     """The gate indices ``--snapshots`` names: ``steps`` or comma-separated indices."""
     if spec == "steps":  # the end of every Trotter step the circuit file records
-        per_step = int(circuit.metadata.get("gates_per_step", 0))
-        if per_step <= 0:
-            raise UsageError("--snapshots steps needs a positive metadata.gates_per_step")
+        per_step = circuit.metadata.get("gates_per_step", 0)
+        if not (isinstance(per_step, int) and per_step > 0):
+            raise ValueError("--snapshots steps needs a positive metadata.gates_per_step")
         return range(per_step, len(circuit) + 1, per_step)
     gates = tuple(int(tok) for tok in spec.split(",")) if spec else ()
     if not all(1 <= k <= len(circuit) for k in gates):
-        raise UsageError(f"--snapshots {spec} names a gate outside 1..{len(circuit)}")
+        raise ValueError(f"--snapshots {spec} names a gate outside 1..{len(circuit)}")
     return gates
 
 
@@ -315,17 +318,9 @@ def cmd_estimate(args, manifest: _Manifest) -> None:
     # the library checks --tail-points and --targets only after probing, so
     # every option is checked here first, the probe deltas before the targets
     if args.tail_points < 0 or args.tail_points == 1:
-        raise UsageError(f"--tail-points must be 0 (all) or at least 2, got {args.tail_points}")
+        raise ValueError(f"--tail-points must be 0 (all) or at least 2, got {args.tail_points}")
     finest_probe = _probe_deltas(args.delta0, args.ratio, args.count)[-1]
-    targets = _parse_float_list(args.targets)
-    if not targets:
-        raise UsageError("--targets must list at least one delta")
-    for t in targets:
-        if not 0 < t < finest_probe:
-            raise UsageError(
-                f"target delta {t} must be positive and below the finest probe delta "
-                f"{finest_probe:g}"
-            )
+    targets = _check_targets(_parse_float_list(args.targets), finest_probe)
 
     series = run_probes(
         circuit, observable, delta_0=args.delta0, ratio=args.ratio,
@@ -390,71 +385,65 @@ def _load_snapshot(path: Path, n_hint: int | None) -> PauliSum:
     if path.suffix == ".npz":
         return PauliSum.from_npz(path)
     if n_hint is None:
-        raise UsageError("--n is required to load a CSV snapshot")
+        raise ValueError("--n is required to load a CSV snapshot")
     return PauliSum.from_csv(path, n_hint)
 
 
 def cmd_analyze(args, manifest: _Manifest) -> None:
-    # every usage error comes before the first artifact
+    # the inputs and the flags that combine them are checked first, then
+    # every result is computed, and only then is anything written
     snap = _load_snapshot(Path(args.snapshot), args.n) if args.snapshot else None
-    on_snapshot = snap is not None and (args.histogram or args.mle or args.regression)
-    if not (on_snapshot or args.trace or args.s_theta):
-        raise UsageError("nothing to analyze: pass --histogram/--mle/--regression/--spikes/--s-theta")
+    on_snapshot = args.histogram or args.mle or args.regression
+    if not (on_snapshot or args.spikes or args.s_theta):
+        raise ValueError("nothing to analyze: pass --histogram/--mle/--regression/--spikes/--s-theta")
+    if on_snapshot != (snap is not None):
+        raise ValueError("--histogram, --mle and --regression need a --snapshot, "
+                         "and a --snapshot needs one of them")
+    if args.spikes != bool(args.trace):
+        raise ValueError("--spikes needs a --trace, and a --trace needs --spikes")
     for fit in ("mle", "regression"):
-        if snap is not None and getattr(args, fit) and args.delta is None:
-            raise UsageError(f"--{fit} requires --delta")
-    if args.trace and not args.spikes:
-        raise UsageError("--trace input supports --spikes analysis")
+        if getattr(args, fit) and args.delta is None:
+            raise ValueError(f"--{fit} requires --delta")
     if args.s_theta and (args.m is None or args.delta is None):
-        raise UsageError("--s-theta requires --m and --delta")
-    if snap is not None and (args.mle or args.regression) and not args.delta > 0:
-        raise UsageError(f"a fit needs a positive --delta, got {args.delta}")
-    xmin_mults = _parse_float_list(args.xmin_mult) if snap is not None and args.mle else []
-    if not all(mult > 0 for mult in xmin_mults):
-        raise UsageError(f"--xmin-mult must list positive multiples, got {args.xmin_mult!r}")
+        raise ValueError("--s-theta requires --m and --delta")
+    if (args.mle or args.regression) and not args.delta > 0:
+        raise ValueError(f"a fit needs a positive --delta, got {args.delta}")
+    xmin_mults = _parse_float_list(args.xmin_mult) if args.mle else []
+    if args.mle and not (xmin_mults and all(mult > 0 for mult in xmin_mults)):
+        raise ValueError(f"--xmin-mult must list positive multiples, got {args.xmin_mult!r}")
     trace = TraceLog.from_csv(args.trace) if args.trace else None
 
-    if snap is not None:
-        if args.histogram:
-            hist = histogram(
-                snap.coeffs, bins=args.bins, absolute=args.absolute,
-                delta_floor=args.delta if args.absolute else None,
-            )
-            hist.to_csv(manifest.add("histogram.csv"))
-        fits: list[MFitResult] = []
-        if args.mle:
-            abs_coeffs = np.abs(snap.coeffs)
-            for mult in xmin_mults:
-                x_min = mult * args.delta
-                m_hat = fit_m_mle(abs_coeffs, x_min)
-                fits.append(
-                    MFitResult(
-                        method="mle", m=m_hat, x_min=x_min,
-                        n_samples=int(np.count_nonzero(abs_coeffs >= x_min)),
-                    )
-                )
-        if args.regression:
-            fits.append(fit_m_regression(snap.coeffs, args.delta, l=args.l))
-        if fits:
-            _write_json(manifest.add("fits.json"), [f.to_json_dict() for f in fits])
-            for f in fits:
-                print(f"{f.method} (x_min={f.x_min:g}): m = {f.m:.6f}")
-
-    if trace is not None:
+    hist = spikes = s_rows = None
+    if args.histogram:
+        hist = histogram(
+            snap.coeffs, bins=args.bins, absolute=args.absolute,
+            delta_floor=args.delta if args.absolute else None,
+        )
+    fits = [fit_m_mle(snap.coeffs, mult * args.delta) for mult in xmin_mults]
+    if args.regression:
+        fits.append(fit_m_regression(snap.coeffs, args.delta, l=args.l))
+    if args.spikes:
         spikes = detect_eta_spikes(trace, threshold=args.threshold)
+    if args.s_theta:
+        thetas = np.linspace(args.theta_min, args.theta_max, args.theta_count)
+        s_rows = s_theta_sweep(PowerLawModel(m=args.m, delta=args.delta), thetas)
+
+    if hist is not None:
+        hist.to_csv(manifest.add("histogram.csv"))
+    if fits:
+        _write_json(manifest.add("fits.json"), [f.to_json_dict() for f in fits])
+        for f in fits:
+            print(f"{f.method} (x_min={f.x_min:g}): m = {f.m:.6f}")
+    if spikes is not None:
         _write_json(
             manifest.add("spikes.json"),
             [{"k": k, "eta": eta, "theta": theta} for k, eta, theta in spikes],
         )
         print(f"{len(spikes)} eta spike(s) at threshold {args.threshold}")
-
-    if args.s_theta:
-        model = PowerLawModel(m=args.m, delta=args.delta)
-        thetas = np.linspace(args.theta_min, args.theta_max, args.theta_count)
-        rows = s_theta_sweep(model, thetas)
+    if s_rows is not None:
         _write_csv(
             manifest.add("s_theta.csv"), ["theta", "s", "r"],
-            ([repr(row["theta"]), repr(row["s"]), repr(row["r"])] for row in rows),
+            ([repr(row["theta"]), repr(row["s"]), repr(row["r"])] for row in s_rows),
         )
 
 
@@ -561,25 +550,19 @@ def _iter_subparsers(parser):
 
 
 def _extract_config(argv):
-    """Pull --config PATH out of argv; returns (argv, config dict or None)."""
-    argv = list(argv)
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config requires a file path")
-            path = argv[i + 1]
-            del argv[i : i + 2]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            del argv[i]
-            break
-    else:
+    """Pull --config PATH out of argv; returns (the other arguments, config dict or None)."""
+    pre = argparse.ArgumentParser(prog="pauliprop", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, argv = pre.parse_known_args(argv)
+    if known.config is None:
         return argv, None
-    with open(path) as fh:
-        cfg = json.load(fh)
+    with open(known.config) as fh:
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"config file {known.config} is not JSON: {exc}") from None
     if not isinstance(cfg, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {known.config} must hold a JSON object")
     return argv, cfg
 
 
@@ -588,41 +571,32 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         argv, config = _extract_config(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"usage error: cannot read config file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if config:
-        # config fills defaults; explicit flags still win
-        unused = set(config)
-        for sub in _iter_subparsers(parser):
-            known = {a.dest: a for a in sub._actions}
-            overrides = {k: v for k, v in config.items() if k in known}
-            if overrides:
-                sub.set_defaults(**overrides)
-                unused -= set(overrides)
-                for dest in overrides:
-                    known[dest].required = False
-        if unused:
-            print(f"warning: no command takes config key(s) {', '.join(sorted(unused))}; ignored",
-                  file=sys.stderr)
-    args = parser.parse_args(argv)
-    if args.command == "gen-circuit":
-        out = _resolve_path(args.out)
-        args.out = str(out)  # the manifest records the resolved path
-        manifest = _Manifest(f"gen-circuit {args.family}", args, out.parent,
-                             name=out.stem + ".manifest.json")
-    else:
-        manifest = _Manifest(args.command, args, _resolve_path(args.out_dir))
-    try:
+        if config:
+            # config fills defaults; explicit flags still win
+            unused = set(config)
+            for sub in _iter_subparsers(parser):
+                known = {a.dest: a for a in sub._actions}
+                overrides = {k: v for k, v in config.items() if k in known}
+                if overrides:
+                    sub.set_defaults(**overrides)
+                    unused -= set(overrides)
+                    for dest in overrides:
+                        known[dest].required = False
+            if unused:
+                print(f"warning: no command takes config key(s) {', '.join(sorted(unused))}; ignored",
+                      file=sys.stderr)
+        args = parser.parse_args(argv)
+        if args.command == "gen-circuit":
+            out = _resolve_path(args.out)
+            args.out = str(out)  # the manifest records the resolved path
+            manifest = _Manifest(f"gen-circuit {args.family}", args, out.parent,
+                                 name=out.stem + ".manifest.json")
+        else:
+            manifest = _Manifest(args.command, args, _resolve_path(args.out_dir))
         args.func(args, manifest)
         manifest.write()
         return EXIT_OK
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # SingularityError is a ValueError, so the numerical clause comes first
     except (InvariantViolation, QuadratureError, SingularityError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -630,7 +604,7 @@ def main(argv=None) -> int:
         manifest.write(aborted=exc)
         print(f"aborted: {exc}", file=sys.stderr)
         return ABORT_EXIT[type(exc)]
-    except (PauliError, CircuitError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # bad input: an option, or a file unreadable or malformed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

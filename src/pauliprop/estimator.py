@@ -209,21 +209,29 @@ def _ols(x: np.ndarray, y: np.ndarray) -> RegressionFit:
     )
 
 
+def _check_targets(targets, finest: float) -> list[float]:
+    """The target thresholds as floats: at least one, each in (0, finest)."""
+    targets = [float(t) for t in targets]
+    if not targets:
+        raise ValueError("need at least one target delta")
+    for t in targets:
+        if not 0 < t < finest:
+            raise ValueError(
+                f"target delta {t} must be positive and below the finest probe delta {finest:g}"
+            )
+    return targets
+
+
 def predict_nmax(series: ProbeSeries, targets) -> ResourcePrediction:
     """Least-squares fit of log N_max vs log delta, extended to the targets.
 
     Predictions are clamped to min(line, trivial bound, 4^n); a probe whose
     peak falls within the final 5% of gates tags the result low-confidence.
+    The targets must be positive and below the finest probe delta.
     """
-    targets = [float(t) for t in targets]
     if len(series.probes) < 2:
         raise ValueError("need at least 2 probes")
-    min_probe_delta = min(p.delta for p in series.probes)
-    for t in targets:
-        if t >= min_probe_delta:
-            raise ValueError(
-                f"target delta {t} is not below the finest probe delta {min_probe_delta}"
-            )
+    targets = _check_targets(targets, min(p.delta for p in series.probes))
     x = np.log(series.deltas())
     y = np.log(np.maximum(np.array([p.n_max for p in series.probes], dtype=float), 1.0))
     fit = _ols(x, y)

@@ -132,11 +132,14 @@ class PauliSum:
     def from_npz(cls, path) -> "PauliSum":
         """Load a binary snapshot in any row order.
 
-        Rows of the wrong type or width, a coefficient count other than the
-        row count, a bit set past qubit n, a zero coefficient and a repeated
-        row are errors.
+        A missing ``n``, ``bits`` or ``coeffs`` array, rows of the wrong type
+        or width, a coefficient count other than the row count, a bit set past
+        qubit n, a zero coefficient and a repeated row are errors.
         """
         with np.load(path) as data:
+            missing = sorted({"n", "bits", "coeffs"} - set(data.files))
+            if missing:
+                raise ValueError(f"snapshot {path} lacks the array(s) {', '.join(missing)}")
             n = int(data["n"])
             bits, coeffs = data["bits"], data["coeffs"]
         w = words_per_half(n)

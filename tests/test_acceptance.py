@@ -280,7 +280,7 @@ def test_criterion_10_mle_estimator():
     errors = {}
     for m, delta in ((1.2, 1e-4), (1.5, 1e-4), (2.0, 1e-3)):
         samples = power_law_samples(m, delta, 1_000_000, rng)
-        m_hat = fit_m_mle(samples, delta)
+        m_hat = fit_m_mle(samples, delta).m
         errors[(m, delta)] = abs(m_hat - m) / m
     elapsed = time.monotonic() - t0
     ok = max(errors.values()) <= 0.02

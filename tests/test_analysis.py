@@ -51,6 +51,17 @@ class TestPowerLawModel:
             num, _ = quad(model.density, a, np.inf)
             assert abs(2 * num - (model.delta / a) ** model.m) < 1e-9  # Pr(|c| >= a)
 
+    def test_signed_cdf_limits_chasm_and_quadrature(self):
+        model = PowerLawModel(m=1.5, delta=1e-4)
+        assert model.signed_cdf(-1e12) < 1e-15
+        assert 1.0 - model.signed_cdf(1e12) < 1e-15
+        for y in (-1e-4, -5e-5, 0.0, 5e-5, 1e-4):  # no mass inside the chasm
+            assert model.signed_cdf(y) == 0.5
+        for y in (-1e-2, -3e-4, 3e-4, 1e-2):
+            below, _ = quad(model.density, -np.inf, min(y, -model.delta))
+            above = quad(model.density, model.delta, y)[0] if y > model.delta else 0.0
+            assert abs(model.signed_cdf(y) - (below + above)) < 1e-9
+
 
 class TestHistogram:
     def test_two_bins(self):
@@ -128,12 +139,12 @@ class TestFitMle:
     def test_exact_on_e_times_xmin(self):
         x_min = 2e-3
         samples = np.full(1000, math.e * x_min)
-        assert abs(fit_m_mle(samples, x_min) - 1.0) < 1e-12
+        assert abs(fit_m_mle(samples, x_min).m - 1.0) < 1e-12
 
     def test_recovers_synthetic(self, rng):
         for m, delta in ((1.2, 1e-4), (1.5, 1e-4), (2.0, 1e-3)):
             samples = power_law_samples(m, delta, 1_000_000, rng)
-            m_hat = fit_m_mle(samples, delta)
+            m_hat = fit_m_mle(samples, delta).m
             assert abs(m_hat - m) / m < 0.02
 
     def test_notched_xmin_variants(self, rng):
@@ -141,11 +152,11 @@ class TestFitMle:
         samples = power_law_samples(m, delta, 1_000_000, rng)
         in_notch = (samples >= delta) & (samples < 2 * delta)
         notched = samples[~(in_notch & (rng.random(samples.size) < 0.5))]
-        assert fit_m_mle(notched, 3 * delta) > fit_m_mle(notched, delta)
+        assert fit_m_mle(notched, 3 * delta).m > fit_m_mle(notched, delta).m
 
     def test_below_xmin_excluded_not_error(self):
         samples = np.array([0.5e-3, 2e-3, 4e-3])
-        m_hat = fit_m_mle(samples, 1e-3)
+        m_hat = fit_m_mle(samples, 1e-3).m
         assert math.isfinite(m_hat)
 
     def test_no_qualifying_samples(self):

@@ -611,11 +611,21 @@ class TestAnalyze:
         (["--histogram", "--mle", "--delta", "0"], "positive --delta"),
         (["--histogram", "--mle", "--delta", "1e-4", "--xmin-mult", "-1"], "--xmin-mult"),
         (["--histogram", "--regression", "--delta", "-0.01"], "positive --delta"),
+        (["--histogram", "--mle", "--delta", "1e-4", "--xmin-mult", ""], "--xmin-mult"),
+        (["--histogram", "--mle", "--delta", "1e-4", "--xmin-mult", ","], "--xmin-mult"),
+        (["--histogram", "--spikes"], "--trace"),
+        (["--histogram", "--s-theta", "--m", "1.5", "--delta", "0.01", "--theta-min", "0"],
+         "theta must lie in"),
+        (["--histogram", "--s-theta", "--m", "-1", "--delta", "0.01"], "m must be positive"),
+        (["--histogram", "--regression", "--delta", "100"], "populated bins"),
+        (["--s-theta", "--m", "1.5", "--delta", "1e-3"], "a --snapshot needs"),
     ], ids=["mle-without-delta", "regression-without-delta", "s-theta-without-m",
             "trace-without-spikes", "mle-delta-zero", "xmin-mult-negative",
-            "regression-delta-negative"])
+            "regression-delta-negative", "xmin-mult-empty", "xmin-mult-comma",
+            "spikes-without-trace", "s-theta-theta-min-zero", "s-theta-m-negative",
+            "regression-no-bins", "snapshot-without-analysis"])
     def test_usage_error_writes_nothing(self, tmp_path, rng, capsys, flags, message):
-        # each case asks for a histogram first, which would be written before the error
+        # nearly every case asks for a histogram, which must not be written before the error
         trace_csv = tmp_path / "trace.csv"
         trace_csv.write_text("k,theta,phi,eta,n_before,n_after,truncated,norm,elapsed_ns\n")
         snapshot = ["--snapshot", str(self._snapshot(tmp_path, rng))]
@@ -691,6 +701,44 @@ class TestLifecycle:
         out_dir = tmp_path / "out"
         assert main([*argv, "--out-dir", str(out_dir)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("kind, message", [
+        ("circuit-without-n", "integer n"),
+        ("circuit-gates-number", "integer n"),
+        ("circuit-metadata-list", "metadata object"),
+        ("circuit-steps-null", "gates_per_step"),
+        ("observable-without-terms", "[label, coeff] terms"),
+        ("observable-number", "[label, coeff] terms"),
+        ("snapshot-without-arrays", "lacks the array(s) coeffs, n"),
+    ], ids=["circuit-without-n", "circuit-gates-number", "circuit-metadata-list",
+            "circuit-steps-null", "observable-without-terms", "observable-number",
+            "snapshot-without-arrays"])
+    def test_malformed_input_is_usage_error(self, small_circuit, tmp_path, capsys, kind, message):
+        circuit = json.loads(small_circuit.read_text())
+        payload = {
+            "circuit-without-n": {k: v for k, v in circuit.items() if k != "n"},
+            "circuit-gates-number": {**circuit, "gates": 5},
+            "circuit-metadata-list": {**circuit, "metadata": [1]},
+            "circuit-steps-null": {**circuit, "metadata": {"gates_per_step": None}},
+            "observable-without-terms": {"coeffs": [1.0]},
+            "observable-number": 5,
+        }.get(kind)
+        if payload is None:
+            bad = tmp_path / "bad.npz"
+            np.savez_compressed(bad, bits=np.zeros((1, 2), dtype=np.uint64))
+            argv = ["analyze", "--snapshot", str(bad), "--histogram"]
+        else:
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(payload))
+            on_circuit = kind.startswith("circuit")
+            argv = ["run", "--circuit", str(bad if on_circuit else small_circuit),
+                    "--observable", "Z2" if on_circuit else str(bad), "--delta", "1e-3",
+                    "--snapshots", "steps"]
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out_dir)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not out_dir.exists()
 
 

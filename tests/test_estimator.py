@@ -83,6 +83,16 @@ class TestPredictNmax:
         with pytest.raises(ValueError):
             predict_nmax(series, [0.005])
 
+    @pytest.mark.parametrize("targets, message", [
+        ([0.0], "must be positive"),
+        ([-0.01], "must be positive"),
+        ([], "at least one target"),
+    ], ids=["zero", "negative", "empty"])
+    def test_targets_positive_and_listed(self, targets, message):
+        series = _series([0.01, 0.005], [10, 20])
+        with pytest.raises(ValueError, match=message):
+            predict_nmax(series, targets)
+
     def test_degenerate_deltas_rejected(self):
         series = _series([0.01, 0.01], [10, 20])
         with pytest.raises(ValueError):

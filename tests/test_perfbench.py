@@ -35,3 +35,45 @@ def test_tracer_installs_on_the_package():
     # the trace and its time in engine.self_s
     kernels = ("anti_mask", "find_rows", "branch_signs", "lower_bound", "sort_order", "pack_keys")
     assert {f"kernels.{fn}" for fn in kernels} <= names
+
+
+# The pipeline workload's per-layer metrics come from the names the tracer
+# patches on pauliprop.cli; a command that stops calling them through those
+# names would zero the metrics without failing any execution.
+_CLI_PIPELINE = """
+import sys
+sys.path[:0] = ["src", "perfbench"]
+from tracer import Tracer
+import pauliprop
+from pauliprop import cli
+tracer = Tracer()
+tracer.install(with_cli=True)
+out = sys.argv[1]
+inputs = ["--circuit", out + "/c.json", "--observable", "Z0"]
+pauliprop.PauliSum.from_terms(2, [("Z0", 0.5), ("X1", 0.25), ("Z0*X1", 0.125)]).to_npz(
+    out + "/snap.npz", gate_index=0, delta=0.1
+)
+for argv in (
+    ["gen-circuit", "kicked-ising", "--topology", "grid_1x2", "--T", "2", "--out", out + "/c.json"],
+    ["estimate", *inputs, "--delta0", "0.05", "--count", "2", "--targets", "0.01",
+     "--out-dir", out + "/est"],
+    ["converge", *inputs, "--max-steps", "3", "--out-dir", out + "/conv"],
+    ["analyze", "--snapshot", out + "/snap.npz", "--histogram", "--mle", "--delta", "0.1",
+     "--out-dir", out + "/ana"],
+):
+    assert cli.main(argv) == 0, argv
+print(" ".join(sorted({span[2] for span in tracer.spans})))
+"""
+
+
+def test_tracer_sees_the_cli_layers(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", _CLI_PIPELINE, str(tmp_path)], cwd=ROOT, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    names = set(done.stdout.split())
+    assert {
+        "estimator.run_probes", "estimator.predict_resources", "convergence.run_protocol",
+        "analysis.histogram", "analysis.fit_m_mle",
+    } <= names
