@@ -190,7 +190,11 @@ class Circuit:
     @classmethod
     def load(cls, path) -> "Circuit":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:  # not JSON, or not text
+                raise CircuitError(f"circuit file {path} is not JSON: {exc}") from None
+        return cls.from_json_dict(payload)
 
 
 def _zz(n: int, i: int, j: int) -> PauliString:

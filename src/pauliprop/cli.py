@@ -1,19 +1,11 @@
 """Batch command-line surface.
 
-Every command ends the same way.  :func:`main` makes the command's manifest,
-runs the command, and writes the manifest when the command returns and on
-every stop at a limit, with ``aborted`` naming the limit.  The manifest goes
-into ``--out-dir`` as ``manifest.json``, or for ``gen-circuit`` beside
-``--out`` as ``<stem>.manifest.json``.  The output directory appears with the
-first artifact, and every command but ``run`` computes all its results
-before it writes the first.  Bad input (a bad option or option value, or an
-input file that is missing, unreadable or malformed) raises ``ValueError`` or
-``OSError`` before anything is written; :func:`main` maps it, in one place,
-to ``error: ...`` on stderr and exit 2, and no directory is left.  A
-numerical error exits 5 without a manifest.  Data files are byte-stable for
-identical inputs: anything timing-derived (wall times, runtime
-extrapolations) lives in the manifest or a timing sidecar, never inside the
-deterministic artifacts.
+Every command ends the same way: :func:`main` makes the command's manifest,
+runs the command, writes the manifest, and maps every way out to one exit
+code, in one place.  FORMATS.md states that lifecycle once ("Manifest" and
+"Stops at a limit"): when the output directory appears, what bad input
+(exit 2), a stop at a limit (exit 3 or 4) and a numerical error (exit 5)
+leave behind, and which files are byte-stable.
 
 Relative output paths resolve under $PAULIPROP_DATA_DIR when it is set.
 ``run --snapshots steps`` snapshots the peak and the end of every Trotter
@@ -23,17 +15,6 @@ Anything else is bad input, rejected before anything is written.
 ``--config FILE`` supplies defaults from a JSON object keyed by option
 name (underscores); explicit flags win over the config file, which wins
 over built-in defaults, and the manifest records the resolved values.
-
-Exit codes: 0 success, 2 bad input, 3 row-cap abort, 4 budget abort, 5
-numerical error.  ``run`` writes each snapshot as its gate passes, and the
-peak when the run ends.  It exits 3 at ``--max-rows`` and 4 at
-``--budget``, after writing the peak so far, its trace and its summary (with
-the partial state's value as ``partial_expectation``).  ``estimate`` exits 4
-when the budget leaves fewer than two probes.  ``converge`` exits 4, after
-writing its artifacts, when no step completes; a budget stop after a
-completed step is the ``budget_exhausted`` status and exits 0.  A row-cap
-stop in ``estimate`` or ``converge`` (at ``--max-rows``) exits 3 and writes
-no report.
 """
 
 from __future__ import annotations
@@ -60,7 +41,6 @@ from .analysis import (
     DEFAULT_SPIKE_THRESHOLD,
     PowerLawModel,
     QuadratureError,
-    SingularityError,
     detect_eta_spikes,
     fit_m_mle,
     fit_m_regression,
@@ -185,7 +165,10 @@ def _load_observable(spec: str, n: int) -> PauliSum:
     path = Path(spec)
     if path.suffix == ".json" and path.exists():
         with open(path) as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:  # not JSON, or not text
+                raise ValueError(f"observable file {spec} is not JSON: {exc}") from None
         terms = payload.get("terms") if isinstance(payload, dict) else payload
         try:
             terms = [(str(lbl), float(c)) for lbl, c in terms]
@@ -596,8 +579,7 @@ def main(argv=None) -> int:
         args.func(args, manifest)
         manifest.write()
         return EXIT_OK
-    # SingularityError is a ValueError, so the numerical clause comes first
-    except (InvariantViolation, QuadratureError, SingularityError, FloatingPointError) as exc:
+    except (InvariantViolation, QuadratureError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except Aborted as exc:

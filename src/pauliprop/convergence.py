@@ -10,12 +10,13 @@ still yields a guiding range and a cost forecast.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
 from .circuits import Circuit
 from .engine import BudgetExceeded
-from .estimator import ProbeResult, predict_runtime, probe
+from .estimator import ProbeResult, _check_ladder, predict_runtime, probe
 from .sums import PauliSum
 
 __all__ = [
@@ -45,18 +46,20 @@ class ConvergenceConfig:
     cumulative_budget_s: float | None = None
 
     def __post_init__(self):
-        if self.delta_0 <= 0:
-            raise ValueError(f"delta_0 must be positive, got {self.delta_0}")
-        if not (0.0 < self.ratio < 1.0):
-            raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
-        if self.eps_tol <= 0:
+        # each float limit's test fails on NaN
+        _check_ladder(self.delta_0, self.ratio)
+        if not self.eps_tol > 0:
             raise ValueError(f"eps_tol must be positive, got {self.eps_tol}")
         if self.ell < 2:
             raise ValueError(f"ell must be >= 2, got {self.ell}")
-        if self.t_cpu_s <= 0:
+        if not self.t_cpu_s > 0:
             raise ValueError(f"t_cpu_s must be positive, got {self.t_cpu_s}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.cumulative_budget_s is not None and math.isnan(self.cumulative_budget_s):
+            raise ValueError(
+                f"cumulative_budget_s must be a number of seconds, got {self.cumulative_budget_s}"
+            )
 
     def delta_at(self, n: int) -> float:
         return (self.ratio**n) * self.delta_0

@@ -3,20 +3,21 @@
 Each Pauli rotation partitions the current rows by commutation with the gate
 generator.  Commuting rows pass through; anti-commuting rows rotate in the
 (P, iσP) plane, merging with the partner row when it already exists and
-branching a new row otherwise.  The angle's exact quarter turns are folded
-into that one rotation's cos and sin, so every coefficient gets a single
-update.  The coefficient threshold is applied to the observable once on
-entry and then, per gate, only to the rows the gate changed: the
-anti-commuting rows and their new branches.  A gate that at most flips
-signs (no anti-commuting row, or a multiple of pi) skips it.
+branching a new row otherwise.  :func:`evolve` folds the angle's exact
+quarter turns into that one rotation's cos and sin, once per gate, so every
+coefficient gets a single update.  The coefficient threshold is applied to
+the observable once on entry and then, per gate, only to the rows the gate
+changed: the anti-commuting rows and their new branches.  A gate that at
+most flips signs (no anti-commuting row, or a multiple of pi) skips it.
 
 Exact odd quarter turns (cos = 0) are Clifford maps: they only relabel rows
 and flip signs, and truncate nothing.  :func:`evolve` absorbs them into a
 Clifford frame (:mod:`pauliprop.frame`) instead of moving rows, and rotates
-every other gate about the framed generator; every state that leaves is
-unframed and sorted canonically.  An absorbed gate still scans the framed
-state once, so phi and eta are recorded as before, and it repeats the
-previous norm.  Until the first absorb there is no frame.
+every other gate about the framed generator Φ⁻¹(σ), Φ⁻¹'s sign taken into
+the rotation's sin; every state that leaves is unframed and sorted
+canonically.  An absorbed gate still scans the framed state once, so phi
+and eta are recorded as before, and it repeats the previous norm.  Until
+the first absorb there is no frame.
 
 Idle gates are skipped without touching a row.  :func:`evolve` keeps a
 light cone, one int in a string's own coordinates: the OR over every true
@@ -58,6 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import frame as clifford
 from . import kernels
 from .circuits import Circuit
 from .pauli import InvariantViolation, PauliError, PauliString, _qubits
@@ -74,6 +76,7 @@ __all__ = [
     "apply_rotation",
     "evolve",
     "expectation",
+    "trivial_bound",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -109,6 +112,13 @@ class RowCapExceeded(Aborted):
     """The row count would exceed the cap."""
 
     reason = "row_cap"
+
+
+def trivial_bound(norm: float, delta: float) -> float:
+    """N_max <= ||O||^2 / delta^2."""
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    return (norm / delta) ** 2
 
 
 @dataclass
@@ -149,7 +159,7 @@ class TraceLog:
     def finalize(self) -> None:
         """Check the trivial memory bound N_max <= ||O||^2 / delta^2."""
         if self.delta > 0 and self.gates:
-            bound = (self.initial_norm / self.delta) ** 2
+            bound = trivial_bound(self.initial_norm, self.delta)
             if self.n_max > bound * (1.0 + 1e-9):
                 raise InvariantViolation(
                     f"N_max={self.n_max} exceeds trivial bound {bound:.6g} "
@@ -208,12 +218,10 @@ class TraceLog:
 
 
 class _Generator(NamedTuple):
-    """A gate generator prepared once per unique PauliString.
+    """A gate generator prepared once per unique PauliString, in true coordinates.
 
-    A framed generator (:meth:`pauliprop.frame.Frame.framed`) replaces the
-    first three fields and keeps the rest, which describe the gate's own
-    generator: the light cone and the frame's tableau are indexed in true
-    coordinates.
+    A framed gate rotates about :meth:`pauliprop.frame.Frame.framed`'s words,
+    canonical alpha and sign in place of the first three fields.
     """
 
     words: np.ndarray
@@ -392,13 +400,13 @@ def _fold(angle):
     return cq * cos_r - sq * sin_r, sq * cos_r + cq * sin_r
 
 
-def _gate(bits, coeffs, prep, theta, delta, row_cap):
-    """One gate on canonically sorted arrays whose rows all pass the threshold.
+def _gate(bits, coeffs, words, canon, cos_t, sin_t, delta, row_cap):
+    """One rotation on canonically sorted arrays whose rows all pass the threshold.
 
-    Returns (bits, coeffs, phi, eta, truncated, cap_exceeded); on a cap the
-    arrays are returned untouched.
+    The angle comes folded, as (cos_t, sin_t); the generator is the one of keyed
+    ``words`` and canonical alpha ``canon``.  Returns (bits, coeffs, phi, eta,
+    truncated, cap_exceeded); on a cap the arrays are returned untouched.
     """
-    words, canon, orientation = prep.words, prep.canon, prep.orientation
     n_rows = len(coeffs)
     anti_idx, anti_bits, pos = _scan(bits, words)
     n_anti = len(anti_idx)
@@ -408,7 +416,6 @@ def _gate(bits, coeffs, prep, theta, delta, row_cap):
     n_paired = int(np.count_nonzero(paired))
     phi, eta = n_anti / n_rows, n_paired / n_rows
 
-    cos_t, sin_t = _fold(orientation * theta)
     if sin_t == 0.0:  # a multiple of pi: identity or a sign flip
         if cos_t < 0.0:
             coeffs[anti_idx] *= cos_t
@@ -491,8 +498,12 @@ def evolve(
     """
     if circuit.n != observable.n:
         raise PauliError(f"circuit n={circuit.n} vs observable n={observable.n}")
-    if delta < 0:
+    if not delta >= 0:  # each limit's test fails on NaN
         raise ValueError(f"delta must be >= 0, got {delta}")
+    if budget_s is not None and math.isnan(budget_s):
+        raise ValueError(f"budget_s must be a number of seconds, got {budget_s}")
+    if row_cap is not None and row_cap < 0:
+        raise ValueError(f"row_cap must be >= 0, got {row_cap}")
     cap = DEFAULT_ROW_CAP if row_cap is None else row_cap
     n = circuit.n
 
@@ -516,7 +527,6 @@ def evolve(
     cone = reach.x | reach.z << n  # the OR of the thresholded rows, halves swapped
     frame = None  # made at the first absorbed quarter turn
 
-    gates = trace.gates
     t0 = time.monotonic()
     deadline = None if budget_s is None else t0 + budget_s
 
@@ -537,36 +547,34 @@ def evolve(
         prep = preps[k - 1]
         phi, eta, truncated = 0.0, 0.0, 0
         if cone & prep.mask:  # else outside the light cone: no row anti-commutes
-            framed = prep if frame is None else _Generator(*frame.framed(prep), *prep[3:])
             cos_t, sin_t = _fold(prep.orientation * theta)
+            # Φ⁻¹(sigma) = sign * (words, canon); the sign goes onto sin exactly (_fold)
+            words, canon, sign = prep[:2] + (1.0,) if frame is None else frame.framed(prep)
             if cos_t == 0.0:  # an exact odd quarter turn: absorbed, so no row moves
-                anti_idx, _, pos = _scan(bits, framed.words)
-                if len(anti_idx):
+                anti_idx, _, pos = _scan(bits, words)
+                if len(anti_idx):  # rows relabelled with flipped signs keep the norm
                     phi = len(anti_idx) / n_before
                     eta = int(np.count_nonzero(pos >= 0)) / n_before
+                    if frame is None:
+                        frame = clifford.Frame(n)
+                    frame.absorb(prep, sin_t)
+                    trace.absorbed += 1
             else:
                 bits, coeffs, phi, eta, truncated, capped = _gate(
-                    bits, coeffs, framed, theta, delta, cap
+                    bits, coeffs, words, canon, cos_t, sign * sin_t, delta, cap
                 )
                 if capped:
                     raise stop(RowCapExceeded, f"row cap {cap} exceeded at gate {k}/{len(preps)}")
-            if phi > 0.0:  # with phi = 0 nothing changed
-                cone |= prep.cross_mask
-                if cos_t != 0.0:
+                if phi > 0.0:  # with phi = 0 nothing changed
                     norm = math.sqrt(pairwise_dot(coeffs, coeffs))
-                else:  # rows relabelled with flipped signs keep the norm
-                    if frame is None:  # a run without quarter turns never loads the frame
-                        from .frame import Frame
-
-                        frame = Frame(n)
-                    frame.absorb(prep, sin_t)
-                    trace.absorbed += 1
+            if phi > 0.0:  # a gate adds only rows P ^ sigma
+                cone |= prep.cross_mask
         stats = GateStats(
             k=k, theta=theta, phi=phi, eta=eta, n_before=n_before, n_after=len(coeffs),
             truncated=truncated, norm_after=norm,
             elapsed_ns=time.perf_counter_ns() - gate_start,
         )
-        gates.append(stats)
+        trace.gates.append(stats)
         if on_gate is not None:
             on_gate(stats, GateState(n, bits, coeffs, frame))
 
@@ -575,8 +583,5 @@ def evolve(
 
 
 def expectation(s: PauliSum) -> float:
-    """<0...0| O |0...0>: sum of coefficients over Z-type rows."""
-    mask = s.z_type_mask()
-    if not mask.any():
-        return 0.0
-    return float(np.sum(s.coeffs[mask]))
+    """<0...0| O |0...0>: sum of coefficients over Z-type rows (0.0 when there is none)."""
+    return float(np.sum(s.coeffs[s.z_type_mask()]))

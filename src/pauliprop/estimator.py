@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .circuits import Circuit
-from .engine import BudgetExceeded, evolve, expectation
+from .engine import BudgetExceeded, evolve, expectation, trivial_bound
 from .sums import PauliSum
 
 __all__ = [
@@ -112,13 +112,6 @@ class ResourcePrediction:
         }
 
 
-def trivial_bound(norm: float, delta: float) -> float:
-    """N_max <= ||O||^2 / delta^2."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return (norm / delta) ** 2
-
-
 def probe(
     circuit: Circuit, observable: PauliSum, delta: float,
     budget_s: float | None = None, row_cap: int | None = None,
@@ -135,17 +128,25 @@ def probe(
     )
 
 
-def _probe_deltas(delta_0: float, ratio: float, count: int) -> list[float]:
-    """The probe thresholds delta_i = ratio^i * delta_0 for i = 0..count-1.
+def _check_ladder(delta_0: float, ratio: float) -> None:
+    """ValueError unless the ladder ratio^i * delta_0 starts positive and shrinks.
 
-    ValueError unless count >= 2, 0 < ratio < 1 and delta_0 > 0.
+    Both tests fail on NaN.
     """
-    if count < 2:
-        raise ValueError(f"count must be >= 2 for a regression, got {count}")
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
     if not delta_0 > 0:
         raise ValueError(f"delta_0 must be positive, got {delta_0}")
+
+
+def _probe_deltas(delta_0: float, ratio: float, count: int) -> list[float]:
+    """The probe thresholds delta_i = ratio^i * delta_0 for i = 0..count-1.
+
+    ValueError unless count >= 2 and the ladder passes :func:`_check_ladder`.
+    """
+    if count < 2:
+        raise ValueError(f"count must be >= 2 for a regression, got {count}")
+    _check_ladder(delta_0, ratio)
     return [(ratio**i) * delta_0 for i in range(count)]
 
 
@@ -160,10 +161,10 @@ def run_probes(
 ) -> ProbeSeries:
     """Probe at delta_i = ratio^i * delta_0 for i = 0..count-1.
 
-    A count below two, a ratio outside (0, 1) or a delta_0 <= 0 raises
-    ValueError before any probe runs.  The series stops early when the wall
-    budget runs out, and raises BudgetExceeded if that leaves fewer than two
-    probes.  A probe past ``row_cap`` rows raises RowCapExceeded.
+    A count below two, a ratio outside (0, 1) or a delta_0 that is not
+    positive raises ValueError before any probe runs.  The series stops early
+    when the wall budget runs out, and raises BudgetExceeded if that leaves
+    fewer than two probes.  A probe past ``row_cap`` rows raises RowCapExceeded.
     """
     deltas = _probe_deltas(delta_0, ratio, count)
     series = ProbeSeries(

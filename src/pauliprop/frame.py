@@ -13,14 +13,11 @@ tableau by a transpose, unframes every state that leaves ``evolve``, one
 table lookup per byte of a row, and the result is sorted canonically.
 
 Rows here are keyed, as inside ``evolve``: W z-words then W x-words, each
-word big-endian in memory (see :mod:`pauliprop.kernels`).  ``evolve``
-imports this module at its first absorb, so a run without quarter turns
-never loads it.
+word big-endian in memory (see :mod:`pauliprop.kernels`).  A run without
+quarter turns never makes a frame.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -147,8 +144,8 @@ class Frame:
         self.inv = [(1 << q, 0, 0) for q in range(n)] + [(0, 1 << q, 0) for q in range(n)]
 
     def copy(self) -> "Frame":
-        out = copy.copy(self)
-        out.inv = list(self.inv)
+        out = Frame(0)
+        out.n, out.inv = self.n, list(self.inv)
         return out
 
     def _inverse(self, prep):
@@ -163,14 +160,11 @@ class Frame:
         return z, x, alpha
 
     def framed(self, prep):
-        """Φ⁻¹(sigma) as keyed words, canonical alpha and orientation.
-
-        Φ⁻¹'s sign is folded into the orientation.
-        """
+        """Φ⁻¹ of the plain generator: keyed words, canonical alpha and a sign, +-1.0."""
         z, x, alpha = self._inverse(prep)
         canon = (z & x).bit_count() % 4
         sign = -1.0 if (alpha - canon) % 4 else 1.0
-        return _nu_rows(self.n, [(z, x)])[0].byteswap(), canon, prep.orientation * sign
+        return _nu_rows(self.n, [(z, x)])[0].byteswap(), canon, sign
 
     def absorb(self, prep, sin_t: float) -> None:
         """Compose the quarter turn G: P -> sin_t * i sigma P (anti-commuting P) onto Φ.

@@ -13,6 +13,8 @@ canonical order (word-by-word unsigned comparison, column 0 first; see
 from __future__ import annotations
 
 import csv
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -132,16 +134,28 @@ class PauliSum:
     def from_npz(cls, path) -> "PauliSum":
         """Load a binary snapshot in any row order.
 
-        A missing ``n``, ``bits`` or ``coeffs`` array, rows of the wrong type
-        or width, a coefficient count other than the row count, a bit set past
-        qubit n, a zero coefficient and a repeated row are errors.
+        A file that is not a readable ``.npz`` archive, a missing ``n``,
+        ``bits`` or ``coeffs`` array, an ``n`` that is not one non-negative
+        integer, rows of the wrong type or width, a coefficient count other
+        than the row count, a bit set past qubit n, a zero coefficient and a
+        repeated row are errors.
         """
-        with np.load(path) as data:
-            missing = sorted({"n", "bits", "coeffs"} - set(data.files))
-            if missing:
-                raise ValueError(f"snapshot {path} lacks the array(s) {', '.join(missing)}")
-            n = int(data["n"])
-            bits, coeffs = data["bits"], data["coeffs"]
+        names = ("n", "bits", "coeffs")
+        try:
+            data = np.load(path)
+            if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy array
+                raise ValueError
+            with data:
+                arrays = {name: data[name] for name in names if name in data.files}
+        except (ValueError, EOFError, zipfile.BadZipFile, zlib.error):
+            raise ValueError(f"snapshot {path} is not a readable .npz archive") from None
+        missing = sorted(set(names) - set(arrays))
+        if missing:
+            raise ValueError(f"snapshot {path} lacks the array(s) {', '.join(missing)}")
+        n, bits, coeffs = arrays["n"], arrays["bits"], arrays["coeffs"]
+        if n.shape != () or n.dtype.kind not in "iu" or n < 0:
+            raise ValueError(f"snapshot {path} has n = {n!r}, not a qubit count")
+        n = int(n)
         w = words_per_half(n)
         if bits.dtype != np.uint64 or bits.shape[1:] != (2 * w,):
             raise ValueError(f"snapshot {path} has {bits.dtype} rows of shape {bits.shape[1:]}, "

@@ -15,10 +15,12 @@ import pytest
 import scipy
 
 import pauliprop
-from pauliprop.analysis import fit_m_regression, histogram
+from pauliprop import cli
+from pauliprop.analysis import QuadratureError, fit_m_regression, histogram
 from pauliprop.cli import (
     ABORT_EXIT,
     EXIT_BUDGET,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
@@ -28,6 +30,7 @@ from pauliprop.cli import (
 )
 from pauliprop import engine
 from pauliprop.engine import Aborted
+from pauliprop.pauli import InvariantViolation
 from pauliprop.estimator import predict_resources, run_probes
 
 
@@ -711,11 +714,35 @@ class TestLifecycle:
         ("observable-without-terms", "[label, coeff] terms"),
         ("observable-number", "[label, coeff] terms"),
         ("snapshot-without-arrays", "lacks the array(s) coeffs, n"),
+        ("snapshot-empty", "bad.npz is not a readable .npz archive"),
+        ("snapshot-truncated", "bad.npz is not a readable .npz archive"),
+        ("snapshot-text", "bad.npz is not a readable .npz archive"),
+        ("circuit-truncated", "bad.json is not JSON"),
+        ("observable-truncated", "bad.json is not JSON"),
+        ("snapshot-n-vector", "bad.npz has n = array([1, 2])"),
+        ("snapshot-n-negative", "bad.npz has n = array(-5)"),
     ], ids=["circuit-without-n", "circuit-gates-number", "circuit-metadata-list",
             "circuit-steps-null", "observable-without-terms", "observable-number",
-            "snapshot-without-arrays"])
+            "snapshot-without-arrays", "snapshot-empty", "snapshot-truncated", "snapshot-text",
+            "circuit-truncated", "observable-truncated", "snapshot-n-vector",
+            "snapshot-n-negative"])
     def test_malformed_input_is_usage_error(self, small_circuit, tmp_path, capsys, kind, message):
         circuit = json.loads(small_circuit.read_text())
+        zeros, ones = np.zeros((1, 2), dtype=np.uint64), np.ones(1)
+        good_npz = tmp_path / "good.npz"
+        np.savez_compressed(good_npz, n=2, bits=zeros, coeffs=ones)
+        text = {  # files no parser can read
+            "snapshot-empty": b"",
+            "snapshot-truncated": good_npz.read_bytes()[:-20],
+            "snapshot-text": b"Z0 1.0\n",
+            "circuit-truncated": small_circuit.read_bytes()[:63],
+            "observable-truncated": b'{"terms": [["Z2", 1.0]',
+        }.get(kind)
+        arrays = {  # archives with bad contents
+            "snapshot-without-arrays": {"bits": zeros},
+            "snapshot-n-vector": {"n": [1, 2], "bits": zeros, "coeffs": ones},
+            "snapshot-n-negative": {"n": -5, "bits": zeros, "coeffs": ones},
+        }.get(kind)
         payload = {
             "circuit-without-n": {k: v for k, v in circuit.items() if k != "n"},
             "circuit-gates-number": {**circuit, "gates": 5},
@@ -724,13 +751,17 @@ class TestLifecycle:
             "observable-without-terms": {"coeffs": [1.0]},
             "observable-number": 5,
         }.get(kind)
-        if payload is None:
-            bad = tmp_path / "bad.npz"
-            np.savez_compressed(bad, bits=np.zeros((1, 2), dtype=np.uint64))
+        on_snapshot = kind.startswith("snapshot")
+        bad = tmp_path / ("bad.npz" if on_snapshot else "bad.json")
+        if text is not None:
+            bad.write_bytes(text)
+        elif arrays is not None:
+            np.savez_compressed(bad, **arrays)
+        else:
+            bad.write_text(json.dumps(payload))
+        if on_snapshot:
             argv = ["analyze", "--snapshot", str(bad), "--histogram"]
         else:
-            bad = tmp_path / "bad.json"
-            bad.write_text(json.dumps(payload))
             on_circuit = kind.startswith("circuit")
             argv = ["run", "--circuit", str(bad if on_circuit else small_circuit),
                     "--observable", "Z2" if on_circuit else str(bad), "--delta", "1e-3",
@@ -739,6 +770,54 @@ class TestLifecycle:
         assert main([*argv, "--out-dir", str(out_dir)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv, value", [
+        (["run", "--delta", "nan"], "got nan"),
+        (["run", "--delta", "1e-3", "--budget", "nan"], "got nan"),
+        (["run", "--delta", "1e-3", "--max-rows", "-5"], "got -5"),
+        (["estimate", "--targets", "1e-4", "--budget", "nan"], "got nan"),
+        (["converge", "--delta0", "nan"], "got nan"),
+        (["converge", "--t-cpu", "nan"], "got nan"),
+        (["converge", "--eps-tol", "nan"], "got nan"),
+        (["converge", "--cumulative-budget", "nan"], "got nan"),
+    ], ids=["run-delta-nan", "run-budget-nan", "run-max-rows-negative", "estimate-budget-nan",
+            "converge-delta0-nan", "converge-t-cpu-nan", "converge-eps-tol-nan",
+            "converge-cumulative-budget-nan"])
+    def test_limit_that_is_not_a_number_is_usage_error(self, small_circuit, tmp_path, capsys,
+                                                        argv, value):
+        # the small cap bounds the run should a NaN limit ever pass unchecked
+        out_dir = tmp_path / "out"
+        code = main([*argv[:1], "--circuit", str(small_circuit), "--observable", "Z2",
+                     "--max-rows", "1000", *argv[1:], "--out-dir", str(out_dir)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and value in err
+        assert not out_dir.exists()
+
+    def test_run_invariant_violation_exits_numerical(self, small_circuit, tmp_path, capsys,
+                                                      monkeypatch):
+        def corrupt(*args, **kwargs):
+            raise InvariantViolation("state is corrupt")
+
+        monkeypatch.setattr(cli, "evolve", corrupt)
+        out_dir = tmp_path / "out"
+        code = main(["run", "--circuit", str(small_circuit), "--observable", "Z2",
+                     "--delta", "1e-3", "--out-dir", str(out_dir)])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical error: state is corrupt")
+        assert not (out_dir / "manifest.json").exists()
+
+    def test_analyze_quadrature_error_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        def unresolved(*args, **kwargs):
+            raise QuadratureError("tolerance not reached")
+
+        monkeypatch.setattr(cli, "s_theta_sweep", unresolved)
+        out_dir = tmp_path / "out"
+        code = main(["analyze", "--s-theta", "--m", "1.5", "--delta", "1e-3",
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical error: tolerance not reached")
         assert not out_dir.exists()
 
 

@@ -42,6 +42,9 @@ class TestConfig:
             ConvergenceConfig(delta_0=0.0)
         with pytest.raises(ValueError):
             ConvergenceConfig(eps_tol=-1.0)
+        for limit in ("delta_0", "ratio", "eps_tol", "t_cpu_s", "cumulative_budget_s"):
+            with pytest.raises(ValueError, match="got nan"):
+                ConvergenceConfig(**{limit: math.nan})
 
 
 class TestRunProtocol:

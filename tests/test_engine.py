@@ -232,6 +232,45 @@ class TestApplyRotation:
             apply_rotation(s, crooked, 0.4, 0.0)
 
 
+# residuals r of angles k * pi/2 + r: none, the smallest subnormal, generic
+# values and the +-pi/4 ties between two quarter turns
+_fold_residuals = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, math.pi / 4, -math.pi / 4]
+) | st.floats(-math.pi / 4, math.pi / 4)
+
+
+class TestFold:
+    """_fold's identity, which evolve relies on to frame a gate: a framed
+    generator's sign multiplies the folded sin instead of the angle."""
+
+    @staticmethod
+    def _check_negation(angle):
+        cos_t, sin_t = engine._fold(angle)
+        cos_n, sin_n = engine._fold(-angle)
+        assert cos_n.hex() == cos_t.hex()
+        if sin_t != 0.0:
+            assert sin_n.hex() == (-sin_t).hex()
+        else:
+            assert sin_n == 0.0
+        return cos_t
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-40, 40), _fold_residuals)
+    def test_quarter_turns_plus_residual(self, k, r):
+        angle = k * engine._HALF_PI + r
+        cos_t = self._check_negation(angle)
+        # cos is exactly 0.0 for an exact odd quarter turn, and only then
+        assert (cos_t == 0.0) == (k % 2 == 1 and angle == k * engine._HALF_PI)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_angle(self, angle):
+        cos_t = self._check_negation(angle)
+        if cos_t == 0.0:
+            q = round(angle / engine._HALF_PI)
+            assert q % 2 == 1 and angle == q * engine._HALF_PI
+
+
 class TestEvolve:
     def test_empty_circuit(self):
         s = PauliSum.from_terms(2, [("Z0", 1.0)])
@@ -491,8 +530,9 @@ def _reference_evolve(circuit, observable, delta, row_cap=engine.DEFAULT_ROW_CAP
     for k, (sigma, theta) in enumerate(circuit.gates, start=1):
         n_before = len(coeffs)
         prep = engine._prepare_generator(sigma, circuit.n)
+        cos_t, sin_t = engine._fold(prep.orientation * theta)
         bits, coeffs, phi, eta, truncated, capped = engine._gate(
-            bits, coeffs, prep, theta, delta, row_cap
+            bits, coeffs, prep.words, prep.canon, cos_t, sin_t, delta, row_cap
         )
         if capped:
             return states, rows, True
@@ -882,10 +922,11 @@ class TestCliffordFrame:
             clifford.absorb(prep, float(rng.choice([-1.0, 1.0])))
         preps = [engine._prepare_generator(random_string(int(rng.integers(1, n))), n)
                  for _ in range(60)]
-        framed = [clifford.framed(prep) for prep in preps]  # (words, canon, orientation)
+        framed = [clifford.framed(prep) for prep in preps]  # (words, canon, sign)
         assert sum(f[0].tobytes() != p.words.tobytes() for f, p in zip(framed, preps)) > 50
         bits, coeffs = clifford.unframe(np.array([f[0] for f in framed]),
-                                        np.array([f[2] for f in framed]))
+                                        np.array([f[2] * p.orientation
+                                                  for f, p in zip(framed, preps)]))
         order = kernels.sort_order(np.array([p.words for p in preps]))
         assert bits.tobytes() == np.array([preps[i].words for i in order]).tobytes()
         assert coeffs.tolist() == [preps[i].orientation for i in order]

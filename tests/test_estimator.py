@@ -47,6 +47,8 @@ class TestTrivialBound:
     def test_positive_delta_required(self):
         with pytest.raises(ValueError):
             trivial_bound(1.0, 0.0)
+        with pytest.raises(ValueError):
+            trivial_bound(1.0, math.nan)
 
 
 class TestPredictNmax:
