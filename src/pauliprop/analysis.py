@@ -10,7 +10,6 @@ at this boundary.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .engine import TraceLog
 from .estimator import _ols
+from .files import write_csv
 
 __all__ = [
     "PowerLawModel",
@@ -107,15 +107,8 @@ class CoefficientHistogram:
         return self.counts / (self.total * widths)
 
     def to_csv(self, path) -> None:
-        dens = self.densities
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["edge_lo", "edge_hi", "count", "density"])
-            for i in range(len(self.counts)):
-                writer.writerow(
-                    [repr(float(self.edges[i])), repr(float(self.edges[i + 1])),
-                     int(self.counts[i]), repr(float(dens[i]))]
-                )
+        write_csv(path, ["edge_lo", "edge_hi", "count", "density"],
+                  zip(self.edges[:-1], self.edges[1:], self.counts, self.densities))
 
 
 def histogram(

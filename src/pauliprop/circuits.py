@@ -7,12 +7,12 @@ observable.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
+from .files import read_json, write_json
 from .pauli import PauliString
 from .rng import Xoshiro256StarStar
 
@@ -160,9 +160,7 @@ class Circuit:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Circuit":
@@ -189,12 +187,7 @@ class Circuit:
 
     @classmethod
     def load(cls, path) -> "Circuit":
-        with open(path) as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:  # not JSON, or not text
-                raise CircuitError(f"circuit file {path} is not JSON: {exc}") from None
-        return cls.from_json_dict(payload)
+        return cls.from_json_dict(read_json(path))
 
 
 def _zz(n: int, i: int, j: int) -> PauliString:

@@ -20,9 +20,7 @@ over built-in defaults, and the manifest records the resolved values.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
-import json
 import math
 import os
 import platform
@@ -68,6 +66,7 @@ from .estimator import (
     predict_resources,
     run_probes,
 )
+from .files import read_json, write_csv, write_json
 from .pauli import InvariantViolation
 from .sums import PauliSum
 
@@ -78,19 +77,6 @@ EXIT_BUDGET = 4
 EXIT_NUMERICAL = 5
 # the exit code of each way a run can stop at a limit
 ABORT_EXIT = {BudgetExceeded: EXIT_BUDGET, RowCapExceeded: EXIT_RESOURCE}
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _environment() -> dict:
@@ -148,7 +134,7 @@ class _Manifest:
         if aborted is not None:
             self.payload["aborted"] = aborted.reason
         self.payload["wall_time_s"] = time.monotonic() - self._t0
-        _write_json(self.add(self.name), self.payload)
+        write_json(self.add(self.name), self.payload)
 
 
 def _resolve_path(path) -> Path:
@@ -164,11 +150,7 @@ def _load_observable(spec: str, n: int) -> PauliSum:
     """A sparse/dense Pauli label, or a JSON file of (label, coeff) terms."""
     path = Path(spec)
     if path.suffix == ".json" and path.exists():
-        with open(path) as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:  # not JSON, or not text
-                raise ValueError(f"observable file {spec} is not JSON: {exc}") from None
+        payload = read_json(path)
         terms = payload.get("terms") if isinstance(payload, dict) else payload
         try:
             terms = [(str(lbl), float(c)) for lbl, c in terms]
@@ -276,7 +258,7 @@ def cmd_run(args, manifest: _Manifest) -> None:
     value = expectation(final)
     trace.to_csv(manifest.add("trace.csv"))
     summary = trace.summary(expectation=value)
-    _write_json(manifest.add("summary.json"), summary)
+    write_json(manifest.add("summary.json"), summary)
     manifest.timing("evolve_s", wall)
     # work and memory: deterministic counts, then the process's resident peak
     manifest.note(
@@ -315,11 +297,9 @@ def cmd_estimate(args, manifest: _Manifest) -> None:
         "series": series.to_json_dict(),
         "prediction": prediction.to_json_dict(),
     }
-    _write_json(manifest.add("prediction.json"), report)
-    _write_csv(
-        manifest.add("probes.csv"), ["delta", "n_max", "runtime_s"],
-        ([repr(p.delta), p.n_max, repr(p.runtime_s)] for p in series.probes),
-    )
+    write_json(manifest.add("prediction.json"), report)
+    write_csv(manifest.add("probes.csv"), ["delta", "n_max", "runtime_s"],
+              ((p.delta, p.n_max, p.runtime_s) for p in series.probes))
     for t, nm, rt in zip(targets, prediction.n_max, prediction.runtime_s):
         print(f"delta={t:g}: predicted N_max ~ {nm:.4g}, runtime ~ {rt:.4g}s")
     if prediction.low_confidence:
@@ -341,13 +321,10 @@ def cmd_converge(args, manifest: _Manifest) -> None:
 
     # a row-cap stop raises; a budget stop is the report's status
     report = run_protocol(circuit, observable, config, row_cap=args.max_rows)
-    _write_json(manifest.add("report.json"), report.to_json_dict())
-    _write_json(manifest.add("timing.json"), report.timing_json_dict())
-    _write_csv(
-        manifest.add("convergence.csv"), ["log10_inv_delta", "estimate", "runtime_s"],
-        ([repr(math.log10(1.0 / s.delta)), repr(s.expectation), repr(s.runtime_s)]
-         for s in report.steps),
-    )
+    write_json(manifest.add("report.json"), report.to_json_dict())
+    write_json(manifest.add("timing.json"), report.timing_json_dict())
+    write_csv(manifest.add("convergence.csv"), ["log10_inv_delta", "estimate", "runtime_s"],
+              ((math.log10(1.0 / s.delta), s.expectation, s.runtime_s) for s in report.steps))
     if not report.steps:
         raise BudgetExceeded("the budget ran out before the first step completed")
 
@@ -414,20 +391,18 @@ def cmd_analyze(args, manifest: _Manifest) -> None:
     if hist is not None:
         hist.to_csv(manifest.add("histogram.csv"))
     if fits:
-        _write_json(manifest.add("fits.json"), [f.to_json_dict() for f in fits])
+        write_json(manifest.add("fits.json"), [f.to_json_dict() for f in fits])
         for f in fits:
             print(f"{f.method} (x_min={f.x_min:g}): m = {f.m:.6f}")
     if spikes is not None:
-        _write_json(
+        write_json(
             manifest.add("spikes.json"),
             [{"k": k, "eta": eta, "theta": theta} for k, eta, theta in spikes],
         )
         print(f"{len(spikes)} eta spike(s) at threshold {args.threshold}")
     if s_rows is not None:
-        _write_csv(
-            manifest.add("s_theta.csv"), ["theta", "s", "r"],
-            ([repr(row["theta"]), repr(row["s"]), repr(row["r"])] for row in s_rows),
-        )
+        write_csv(manifest.add("s_theta.csv"), ["theta", "s", "r"],
+                  ((row["theta"], row["s"], row["r"]) for row in s_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +514,7 @@ def _extract_config(argv):
     known, argv = pre.parse_known_args(argv)
     if known.config is None:
         return argv, None
-    with open(known.config) as fh:
-        try:
-            cfg = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"config file {known.config} is not JSON: {exc}") from None
+    cfg = read_json(known.config)
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {known.config} must hold a JSON object")
     return argv, cfg

@@ -51,7 +51,6 @@ state an ``on_gate`` hook is handed after each gate.  What to keep of them
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -62,6 +61,7 @@ import numpy as np
 from . import frame as clifford
 from . import kernels
 from .circuits import Circuit
+from .files import read_csv, write_csv
 from .pauli import InvariantViolation, PauliError, PauliString, _qubits
 from .sums import PauliSum, pairwise_dot
 
@@ -84,9 +84,11 @@ _HALF_PI = math.pi / 2.0
 _QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
 DEFAULT_ROW_CAP = 2**31
-_TRACE_COLUMNS = (
-    "k", "theta", "phi", "eta", "n_before", "n_after", "truncated", "norm", "elapsed_ns"
-)
+# each trace CSV column and the type of its cells, in GateStats's field order
+_TRACE_COLUMNS = {
+    "k": int, "theta": float, "phi": float, "eta": float, "n_before": int, "n_after": int,
+    "truncated": int, "norm": float, "elapsed_ns": int,
+}
 
 
 class Aborted(RuntimeError):
@@ -167,34 +169,17 @@ class TraceLog:
                 )
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_TRACE_COLUMNS)
-            for g in self.gates:
-                writer.writerow(
-                    [g.k, repr(g.theta), repr(g.phi), repr(g.eta), g.n_before, g.n_after,
-                     g.truncated, repr(g.norm_after), g.elapsed_ns]
-                )
+        write_csv(path, _TRACE_COLUMNS, (
+            (g.k, g.theta, g.phi, g.eta, g.n_before, g.n_after, g.truncated, g.norm_after,
+             g.elapsed_ns)
+            for g in self.gates
+        ))
 
     @classmethod
     def from_csv(cls, path) -> "TraceLog":
         """The gates of a trace CSV, which needs every column; n, delta and norm are unset."""
-        out = cls(n=0, delta=0.0, initial_norm=1.0)
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = [col for col in _TRACE_COLUMNS if col not in (reader.fieldnames or ())]
-            if missing:
-                raise ValueError(f"trace {path} lacks column(s) {', '.join(missing)}")
-            for row in reader:
-                out.gates.append(
-                    GateStats(
-                        k=int(row["k"]), theta=float(row["theta"]), phi=float(row["phi"]),
-                        eta=float(row["eta"]), n_before=int(row["n_before"]),
-                        n_after=int(row["n_after"]), truncated=int(row["truncated"]),
-                        norm_after=float(row["norm"]), elapsed_ns=int(row["elapsed_ns"]),
-                    )
-                )
-        return out
+        gates = [GateStats(*row) for row in read_csv(path, _TRACE_COLUMNS)]
+        return cls(n=0, delta=0.0, initial_norm=1.0, gates=gates)
 
     def summary(self, expectation=None) -> dict:
         out = {

@@ -12,16 +12,18 @@ canonical order (word-by-word unsigned comparison, column 0 first; see
 
 from __future__ import annotations
 
-import csv
 import zipfile
 import zlib
 
 import numpy as np
 
 from . import kernels
+from .files import read_csv, write_csv
 from .pauli import PauliError, PauliString, _nu_rows, canonical_real_coefficient, words_per_half
 
 __all__ = ["PauliSum", "pairwise_dot"]
+
+_SNAPSHOT_COLUMNS = {"pauli_label": str, "coefficient": float}
 
 
 def pairwise_dot(a, b) -> float:
@@ -110,20 +112,12 @@ class PauliSum:
 
     def to_csv(self, path) -> None:
         """Write rows as (pauli_label, coefficient) with sparse labels."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pauli_label", "coefficient"])
-            for i in range(len(self)):
-                writer.writerow([self.string_at(i).to_sparse_label(), repr(float(self.coeffs[i]))])
+        write_csv(path, _SNAPSHOT_COLUMNS, zip(self.labels(), self.coeffs))
 
     @classmethod
     def from_csv(cls, path, n: int) -> "PauliSum":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:2] != ["pauli_label", "coefficient"]:
-                raise ValueError(f"unexpected snapshot CSV header: {header}")
-            return cls.from_terms(n, [(label, float(coeff)) for label, coeff in reader])
+        """Load a CSV snapshot; its columns may come in any order, among others."""
+        return cls.from_terms(n, read_csv(path, _SNAPSHOT_COLUMNS))
 
     def to_npz(self, path, **provenance) -> None:
         """Binary snapshot: packed rows + coefficient array (+ provenance)."""

@@ -649,6 +649,35 @@ class TestAnalyze:
         assert "phi" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flags, text, message", [
+        (["--snapshot", "BAD", "--n", "3", "--histogram"], "", "bad.csv: the file is empty"),
+        (["--snapshot", "BAD", "--n", "3", "--histogram"], "pauli_label\nZ0\n",
+         "bad.csv: no column(s) coefficient"),
+        (["--trace", "BAD", "--spikes"], "", "bad.csv: the file is empty"),
+        (["--trace", "BAD", "--spikes"],
+         "k,theta,phi,eta,n_before,n_after,truncated,norm,elapsed_ns\n1,0.3,0.5,0.1\n",
+         "bad.csv: row 1 has 4 cells for 9 columns"),
+    ], ids=["snapshot-csv-empty", "snapshot-csv-without-column", "trace-empty",
+            "trace-row-short"])
+    def test_malformed_csv_writes_nothing(self, tmp_path, capsys, flags, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out_dir = tmp_path / "ana"
+        argv = ["analyze", *(str(bad) if f == "BAD" else f for f in flags), "--out-dir", str(out_dir)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out_dir.exists()
+
+    def test_snapshot_csv_columns_in_any_order(self, tmp_path):
+        snap = tmp_path / "snap.csv"
+        snap.write_text("coefficient,pauli_label\n0.5,Z0\n-0.25,X1*Z2\n")
+        out_dir = tmp_path / "ana"
+        assert main(["analyze", "--snapshot", str(snap), "--n", "3", "--histogram", "--bins", "2",
+                     "--out-dir", str(out_dir)]) == EXIT_OK
+        lines = (out_dir / "histogram.csv").read_text().splitlines()
+        assert lines[1:] == ["-0.25,0.125,1,1.3333333333333333", "0.125,0.5,1,1.3333333333333333"]
+
     def test_corrupt_snapshot_writes_nothing(self, tmp_path, rng):
         snap = self._snapshot(tmp_path, rng)
         with np.load(snap) as data:
