@@ -168,7 +168,8 @@ def fit_m_regression(abs_coeffs, delta: float, l: float = DEFAULT_REGRESSION_L) 
 
     Bins of width delta/16 centered at 144 uniformly spaced points between
     l*delta and 20*delta; the slope of log(density) vs log(center) is
-    -(m+1).  Empty bins are skipped.
+    -(m+1).  Empty bins are skipped; two populated bins leave the slope
+    without a standard error (``stderr`` None).
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
@@ -194,7 +195,7 @@ def fit_m_regression(abs_coeffs, delta: float, l: float = DEFAULT_REGRESSION_L) 
         method="regression",
         m=-fit.slope - 1.0,
         x_min=l * delta,
-        stderr=fit.stderr,
+        stderr=fit.stderr if fit.n_points > 2 else None,
         r_squared=fit.r_squared,
         n_samples=in_window,
         n_bins=int(populated.sum()),

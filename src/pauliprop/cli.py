@@ -13,8 +13,9 @@ step, at multiples of the circuit file's ``metadata.gates_per_step``;
 ``--snapshots`` also takes comma-separated gate indices in 1..len(circuit).
 Anything else is bad input, rejected before anything is written.
 ``--config FILE`` supplies defaults from a JSON object keyed by option
-name (underscores); explicit flags win over the config file, which wins
-over built-in defaults, and the manifest records the resolved values.
+name (underscores), each value typed as the same text on the command line
+would be; explicit flags win over the config file, which wins over built-in
+defaults, and the manifest records the resolved values.
 """
 
 from __future__ import annotations
@@ -366,6 +367,8 @@ def cmd_analyze(args, manifest: _Manifest) -> None:
             raise ValueError(f"--{fit} requires --delta")
     if args.s_theta and (args.m is None or args.delta is None):
         raise ValueError("--s-theta requires --m and --delta")
+    if args.s_theta and args.theta_count < 1:
+        raise ValueError(f"--theta-count must be at least 1, got {args.theta_count}")
     if (args.mle or args.regression) and not args.delta > 0:
         raise ValueError(f"a fit needs a positive --delta, got {args.delta}")
     xmin_mults = _parse_float_list(args.xmin_mult) if args.mle else []
@@ -520,6 +523,20 @@ def _extract_config(argv):
     return argv, cfg
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value as its option's default, typed as the same text on the command line."""
+    if action.nargs == 0:  # a flag
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key} takes true or false, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config key {key} takes a string or a number, got {value!r}")
+    try:
+        return (action.type or str)(str(value))
+    except ValueError as exc:
+        raise ValueError(f"config key {key}: {exc}") from None
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -530,7 +547,8 @@ def main(argv=None) -> int:
             unused = set(config)
             for sub in _iter_subparsers(parser):
                 known = {a.dest: a for a in sub._actions}
-                overrides = {k: v for k, v in config.items() if k in known}
+                overrides = {k: _config_value(known[k], k, v)
+                             for k, v in config.items() if k in known}
                 if overrides:
                     sub.set_defaults(**overrides)
                     unused -= set(overrides)

@@ -2,7 +2,8 @@
 
 Successive estimates O_n at delta_n = r^n * delta_0, one probe each, run
 until either the trailing window of estimates agrees within the tolerance,
-the latest run time exceeds the CPU budget, or the step limit is reached.
+none of them from a state that truncation emptied, the latest run time
+exceeds the CPU budget, or the step limit is reached.
 The report's verdict is derived from its steps and status: the estimate
 range and runtime extrapolations hold either way, so an unconverged problem
 still yields a guiding range and a cost forecast.
@@ -46,19 +47,20 @@ class ConvergenceConfig:
     cumulative_budget_s: float | None = None
 
     def __post_init__(self):
-        # each float limit's test fails on NaN
+        # each float limit's test fails on NaN and on inf
         _check_ladder(self.delta_0, self.ratio)
-        if not self.eps_tol > 0:
-            raise ValueError(f"eps_tol must be positive, got {self.eps_tol}")
+        if not 0 < self.eps_tol < math.inf:
+            raise ValueError(f"eps_tol must be positive and finite, got {self.eps_tol}")
         if self.ell < 2:
             raise ValueError(f"ell must be >= 2, got {self.ell}")
-        if not self.t_cpu_s > 0:
-            raise ValueError(f"t_cpu_s must be positive, got {self.t_cpu_s}")
+        if not 0 < self.t_cpu_s < math.inf:
+            raise ValueError(f"t_cpu_s must be positive and finite, got {self.t_cpu_s}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.cumulative_budget_s is not None and math.isnan(self.cumulative_budget_s):
+        if self.cumulative_budget_s is not None and not math.isfinite(self.cumulative_budget_s):
             raise ValueError(
-                f"cumulative_budget_s must be a number of seconds, got {self.cumulative_budget_s}"
+                f"cumulative_budget_s must be a finite number of seconds, "
+                f"got {self.cumulative_budget_s}"
             )
 
     def delta_at(self, n: int) -> float:
@@ -127,6 +129,9 @@ class ConvergenceReport:
             "estimate_range": list(self.estimate_range) if self.estimate_range else None,
             "local_minimum_risk": self.local_minimum_risk,
         }
+        emptied = [n for n, s in enumerate(self.steps) if s.final_rows == 0]
+        if emptied:  # steps whose state truncation emptied; none is in a converged window
+            out["emptied_steps"] = emptied
         if self.aborted_step is not None:
             out["aborted_step"] = {
                 k: v for k, v in self.aborted_step.items() if k != "runtime_s"
@@ -147,7 +152,8 @@ def run_protocol(
     """Probe at shrinking thresholds until convergence or budget.
 
     Each step is one :func:`~pauliprop.estimator.probe`.  Stop rules: (a) the
-    trailing ell estimates span at most eps_tol (apparently converged);
+    trailing ell estimates span at most eps_tol and no step among them ended
+    with an empty state (apparently converged);
     (b) the most recent runtime exceeds t_cpu_s (budget exhausted; a single
     run is also cut off at the budget and recorded as ``aborted_step``,
     without an estimate); (c) max_steps reached.  A run past ``row_cap``
@@ -178,8 +184,10 @@ def run_protocol(
             report.status = STATUS_BUDGET
             break
         report.steps.append(step)
-        window = report.estimates()[-config.ell:]
-        if len(window) == config.ell and max(window) - min(window) <= config.eps_tol:
+        window = report.steps[-config.ell:]
+        estimates = [s.expectation for s in window]
+        if (len(window) == config.ell and all(s.final_rows for s in window)
+                and max(estimates) - min(estimates) <= config.eps_tol):
             report.status = STATUS_CONVERGED
             break
         if step.runtime_s > config.t_cpu_s:

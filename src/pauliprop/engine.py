@@ -483,10 +483,10 @@ def evolve(
     """
     if circuit.n != observable.n:
         raise PauliError(f"circuit n={circuit.n} vs observable n={observable.n}")
-    if not delta >= 0:  # each limit's test fails on NaN
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if budget_s is not None and math.isnan(budget_s):
-        raise ValueError(f"budget_s must be a number of seconds, got {budget_s}")
+    if not 0 <= delta < math.inf:  # each limit's test fails on NaN and on inf
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    if budget_s is not None and not math.isfinite(budget_s):
+        raise ValueError(f"budget_s must be a finite number of seconds, got {budget_s}")
     if row_cap is not None and row_cap < 0:
         raise ValueError(f"row_cap must be >= 0, got {row_cap}")
     cap = DEFAULT_ROW_CAP if row_cap is None else row_cap

@@ -50,6 +50,7 @@ class ProbeResult:
     runtime_s: float
     gate_count: int
     expectation: float
+    final_rows: int  # 0 when truncation emptied the state
 
 
 @dataclass
@@ -125,18 +126,19 @@ def probe(
     return ProbeResult(
         delta=delta, n_max=trace.n_max, k_star=k_star, norm_at_k_star=norm_at,
         runtime_s=runtime, gate_count=len(trace.gates), expectation=expectation(final),
+        final_rows=len(final),
     )
 
 
 def _check_ladder(delta_0: float, ratio: float) -> None:
-    """ValueError unless the ladder ratio^i * delta_0 starts positive and shrinks.
+    """ValueError unless the ladder ratio^i * delta_0 starts positive and finite and shrinks.
 
     Both tests fail on NaN.
     """
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-    if not delta_0 > 0:
-        raise ValueError(f"delta_0 must be positive, got {delta_0}")
+    if not 0 < delta_0 < math.inf:
+        raise ValueError(f"delta_0 must be positive and finite, got {delta_0}")
 
 
 def _probe_deltas(delta_0: float, ratio: float, count: int) -> list[float]:

@@ -250,14 +250,22 @@ def test_criterion_09_runtime_power_law(heavy_hex, z62):
     # (~1.2e-4, the domain criterion 7 pins with "final delta >= 1e-4").
     # At the stopping point itself the per-run cost sits at the fixed
     # per-gate floor where wall-clock noise swamps the trend; the paper's
-    # runtime figures fit the full sweep (see decisions ledger).
+    # runtime figures fit the full sweep (see decisions ledger).  Each
+    # fitted delta is timed three times, in three rounds over the four, and
+    # fits its fastest run: one run slowed by the host moves a 0.1-0.3 s
+    # point enough to sink R^2, and the rounds spread a slow spell of the
+    # host over different deltas.
     circ = kicked_ising(heavy_hex, T=20, theta_zz=-math.pi / 2, theta_x_spec=FixedAngle(0.3))
     deltas = [2.0 ** -(3 + n) for n in range(11)]  # 1/8 ... 2^-13
-    times = []
-    for delta in deltas:
+
+    def timed(delta):
         t0 = time.monotonic()
         evolve(circ, z62, delta)
-        times.append(time.monotonic() - t0)
+        return time.monotonic() - t0
+
+    times = [timed(delta) for delta in deltas]
+    for _ in range(2):
+        times[-4:] = [min(t, timed(delta)) for t, delta in zip(times[-4:], deltas[-4:])]
     x = np.log(1.0 / np.array(deltas[-4:]))
     y = np.log(np.array(times[-4:]))
     xm, ym = x.mean(), y.mean()
@@ -270,7 +278,7 @@ def test_criterion_09_runtime_power_law(heavy_hex, z62):
         ok,
         f"regime-A runtime series (delta 2^-3..2^-13), last 4 points: "
         f"log t vs log(1/delta) fit has R^2 = {r2:.4f} (>= 0.90), "
-        f"slope = {slope:.2f}; tail times {[f'{t*1e3:.0f}ms' for t in times[-4:]]}",
+        f"slope = {slope:.2f}; tail times (best of 3) {[f'{t*1e3:.0f}ms' for t in times[-4:]]}",
     )
 
 

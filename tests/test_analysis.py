@@ -129,6 +129,13 @@ class TestFitRegression:
         with pytest.raises(ValueError):
             fit_m_regression(np.full(5000, 3e-4), 1e-4, l=1.0)
 
+    def test_two_bins_leave_no_stderr(self):
+        delta = 1e-2
+        centers = np.linspace(delta, 20.0 * delta, 144)
+        fit = fit_m_regression(np.repeat(centers[[0, 10]], [5, 2]), delta, l=1.0)
+        assert fit.n_bins == 2
+        assert fit.to_json_dict()["stderr"] is None
+
     def test_low_sample_warning(self, rng):
         samples = power_law_samples(1.5, 1e-4, 400, rng)
         fit = fit_m_regression(samples, 1e-4, l=1.0)

@@ -622,11 +622,13 @@ class TestAnalyze:
         (["--histogram", "--s-theta", "--m", "-1", "--delta", "0.01"], "m must be positive"),
         (["--histogram", "--regression", "--delta", "100"], "populated bins"),
         (["--s-theta", "--m", "1.5", "--delta", "1e-3"], "a --snapshot needs"),
+        (["--histogram", "--s-theta", "--m", "1.5", "--delta", "1e-3", "--theta-count", "0"],
+         "--theta-count must be at least 1, got 0"),
     ], ids=["mle-without-delta", "regression-without-delta", "s-theta-without-m",
             "trace-without-spikes", "mle-delta-zero", "xmin-mult-negative",
             "regression-delta-negative", "xmin-mult-empty", "xmin-mult-comma",
             "spikes-without-trace", "s-theta-theta-min-zero", "s-theta-m-negative",
-            "regression-no-bins", "snapshot-without-analysis"])
+            "regression-no-bins", "snapshot-without-analysis", "s-theta-count-zero"])
     def test_usage_error_writes_nothing(self, tmp_path, rng, capsys, flags, message):
         # nearly every case asks for a histogram, which must not be written before the error
         trace_csv = tmp_path / "trace.csv"
@@ -810,9 +812,19 @@ class TestLifecycle:
         (["converge", "--t-cpu", "nan"], "got nan"),
         (["converge", "--eps-tol", "nan"], "got nan"),
         (["converge", "--cumulative-budget", "nan"], "got nan"),
+        (["run", "--delta", "inf"], "got inf"),
+        (["run", "--delta", "1e-3", "--budget", "inf"], "got inf"),
+        (["estimate", "--targets", "1e-4", "--delta0", "inf"], "got inf"),
+        (["estimate", "--targets", "1e-4", "--budget", "inf"], "got inf"),
+        (["converge", "--delta0", "inf"], "got inf"),
+        (["converge", "--t-cpu", "inf"], "got inf"),
+        (["converge", "--eps-tol", "inf"], "got inf"),
+        (["converge", "--cumulative-budget", "inf"], "got inf"),
     ], ids=["run-delta-nan", "run-budget-nan", "run-max-rows-negative", "estimate-budget-nan",
             "converge-delta0-nan", "converge-t-cpu-nan", "converge-eps-tol-nan",
-            "converge-cumulative-budget-nan"])
+            "converge-cumulative-budget-nan", "run-delta-inf", "run-budget-inf",
+            "estimate-delta0-inf", "estimate-budget-inf", "converge-delta0-inf",
+            "converge-t-cpu-inf", "converge-eps-tol-inf", "converge-cumulative-budget-inf"])
     def test_limit_that_is_not_a_number_is_usage_error(self, small_circuit, tmp_path, capsys,
                                                         argv, value):
         # the small cap bounds the run should a NaN limit ever pass unchecked
@@ -894,6 +906,40 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert "detla, workers" in err
         assert "delta," not in err
+
+    @pytest.mark.parametrize("command, config, key", [
+        (["run", "--delta", "1e-3"], {"delta": True}, "delta"),
+        (["run", "--delta", "1e-3"], {"delta": [0.01]}, "delta"),
+        (["run", "--delta", "1e-3"], {"delta": None}, "delta"),
+        (["run", "--delta", "1e-3"], {"delta": "abc"}, "delta"),
+        (["estimate", "--targets", "1e-4"], {"count": 2.5}, "count"),
+        (["estimate", "--targets", "1e-4"], {"max_rows": "-"}, "max_rows"),
+        (["analyze", "--s-theta", "--m", "1.5", "--delta", "1e-3"], {"histogram": 1}, "histogram"),
+    ], ids=["delta-true", "delta-list", "delta-null", "delta-text", "count-float",
+            "max-rows-text", "flag-number"])
+    def test_config_value_typed_like_flag(self, small_circuit, tmp_path, capsys, command,
+                                          config, key):
+        # a value argparse would reject on the command line, or that no text spells
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        inputs = [] if command[0] == "analyze" else ["--circuit", str(small_circuit),
+                                                     "--observable", "Z2"]
+        out_dir = tmp_path / "out"
+        code = main([*command[:1], *inputs, *command[1:], "--config", str(cfg),
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key " + key)
+        assert not out_dir.exists()
+
+    def test_config_values_take_their_option_type(self, small_circuit, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": "0.25", "max_rows": "1000"}))
+        out_dir = tmp_path / "run"
+        assert main(["run", "--circuit", str(small_circuit), "--observable", "Z2",
+                     "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_OK
+        config = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert config["delta"] == 0.25 and config["max_rows"] == 1000
 
     def test_missing_config_file(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.json"),

@@ -20,7 +20,7 @@ def _report(estimates, status, eps_tol=1e-2, ell=3, runtimes=None):
     runtimes = runtimes or [0.1] * len(estimates)
     steps = [
         ProbeResult(delta=config.delta_at(n), n_max=10, k_star=1, norm_at_k_star=1.0,
-                    runtime_s=rt, gate_count=1, expectation=est)
+                    runtime_s=rt, gate_count=1, expectation=est, final_rows=10)
         for n, (est, rt) in enumerate(zip(estimates, runtimes))
     ]
     return ConvergenceReport(config=config, steps=steps, status=status)
@@ -104,6 +104,20 @@ class TestRunProtocol:
         config = ConvergenceConfig(ell=3, t_cpu_s=60.0, max_steps=4, eps_tol=1e-9)
         report = run_protocol(circ, obs, config)
         assert report.extrapolated_runtime_s is None or len(report.extrapolated_runtime_s) == 2
+
+    @pytest.mark.parametrize("theta_x", [0.7, 1.0])
+    def test_emptied_steps_never_converge(self, theta_x):
+        # T = 10 on the open 4x4 grid: truncation empties the state at delta =
+        # 2^-3 ... 2^-6, whose zero estimates agree within eps_tol; the exact
+        # values are +0.0671 and +0.0022
+        circ = kicked_ising(Topology.grid(4, 4), T=10, theta_zz=-math.pi / 2,
+                            theta_x_spec=FixedAngle(theta_x))
+        obs = PauliSum.from_terms(16, [("Z10", 1.0)])
+        report = run_protocol(circ, obs, ConvergenceConfig(t_cpu_s=60.0, max_steps=7))
+        assert report.status == STATUS_STEP_LIMIT
+        emptied = [n for n, s in enumerate(report.steps) if s.final_rows == 0]
+        assert emptied[:4] == [0, 1, 2, 3]
+        assert report.to_json_dict()["emptied_steps"] == emptied
 
     def test_determinism_of_estimates(self):
         circ, obs = self._generic_problem()

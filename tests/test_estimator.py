@@ -31,7 +31,7 @@ def _series(deltas, n_maxes, runtimes=None, k_stars=None, gate_count=100, n_qubi
     return ProbeSeries(
         probes=[
             ProbeResult(delta=d, n_max=nm, k_star=ks, norm_at_k_star=1.0,
-                        runtime_s=rt, gate_count=gate_count, expectation=0.0)
+                        runtime_s=rt, gate_count=gate_count, expectation=0.0, final_rows=1)
             for d, nm, rt, ks in zip(deltas, n_maxes, runtimes, k_stars)
         ],
         delta_0=deltas[0], ratio=deltas[1] / deltas[0] if len(deltas) > 1 else 0.5,
