@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import TraceLog
+from .engine import GateStats
 from .estimator import _ols
 from .files import write_csv
 
@@ -69,10 +69,11 @@ class PowerLawModel:
     A: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.m > 0):
-            raise ValueError(f"exponent m must be positive, got {self.m}")
-        if not (self.delta > 0):
-            raise ValueError(f"cutoff delta must be positive, got {self.delta}")
+        # each test fails on NaN and on inf
+        if not 0 < self.m < math.inf:
+            raise ValueError(f"exponent m must be positive and finite, got {self.m}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"cutoff delta must be positive and finite, got {self.delta}")
         object.__setattr__(self, "A", self.m * self.delta**self.m / 2.0)
 
     def density(self, t: float) -> float:
@@ -146,21 +147,9 @@ class MFitResult:
     x_min: float
     stderr: float | None = None
     r_squared: float | None = None
-    n_samples: int = 0
-    n_bins: int | None = None
+    sample_count: int = 0
+    bins: int | None = None
     low_sample_warning: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "x_min": self.x_min,
-            "m": self.m,
-            "stderr": self.stderr,
-            "r_squared": self.r_squared,
-            "sample_count": self.n_samples,
-            "bins": self.n_bins,
-            "low_sample_warning": self.low_sample_warning,
-        }
 
 
 def fit_m_regression(abs_coeffs, delta: float, l: float = DEFAULT_REGRESSION_L) -> MFitResult:
@@ -169,10 +158,14 @@ def fit_m_regression(abs_coeffs, delta: float, l: float = DEFAULT_REGRESSION_L) 
     Bins of width delta/16 centered at 144 uniformly spaced points between
     l*delta and 20*delta; the slope of log(density) vs log(center) is
     -(m+1).  Empty bins are skipped; two populated bins leave the slope
-    without a standard error (``stderr`` None).
+    without a standard error (``stderr`` None).  l must be finite and at
+    least 1, and delta positive and finite.
     """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+    # each test fails on NaN and on inf
+    if not 1 <= l < math.inf:
+        raise ValueError(f"l must be finite and >= 1, got {l}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     values = np.sort(np.abs(np.asarray(abs_coeffs, dtype=float)))
     if values.size == 0:
         raise ValueError("no samples")
@@ -195,10 +188,10 @@ def fit_m_regression(abs_coeffs, delta: float, l: float = DEFAULT_REGRESSION_L) 
         method="regression",
         m=-fit.slope - 1.0,
         x_min=l * delta,
-        stderr=fit.stderr if fit.n_points > 2 else None,
+        stderr=fit.stderr,
         r_squared=fit.r_squared,
-        n_samples=in_window,
-        n_bins=int(populated.sum()),
+        sample_count=in_window,
+        bins=int(populated.sum()),
         low_sample_warning=in_window < 1000,
     )
 
@@ -207,7 +200,7 @@ def fit_m_mle(abs_coeffs, x_min: float) -> MFitResult:
     """Maximum-likelihood exponent: m = N / sum(log(|c| / x_min)).
 
     Only samples with |c| >= x_min qualify; smaller samples are excluded,
-    and the N that qualify are the result's ``n_samples``.  x_min must be
+    and the N that qualify are the result's ``sample_count``.  x_min must be
     positive.
     """
     if not x_min > 0:
@@ -219,7 +212,7 @@ def fit_m_mle(abs_coeffs, x_min: float) -> MFitResult:
     log_sum = float(np.sum(np.log(values / x_min)))
     if log_sum == 0.0:
         raise ValueError("degenerate sample: all values equal x_min")
-    return MFitResult(method="mle", m=values.size / log_sum, x_min=x_min, n_samples=values.size)
+    return MFitResult(method="mle", m=values.size / log_sum, x_min=x_min, sample_count=values.size)
 
 
 def moment_estimate(model: PowerLawModel, l: float, norm_sq: float) -> float:
@@ -406,9 +399,11 @@ def predict_term_count_step(
     return float(n_terms) * (1.0 - phi + (phi - eta) * (p + q) + eta * r)
 
 
-def detect_eta_spikes(trace: TraceLog, threshold: float = DEFAULT_SPIKE_THRESHOLD):
-    """Gates whose merge fraction eta reaches the threshold, sorted by k."""
-    if not trace.gates:
+def detect_eta_spikes(gates: list[GateStats], threshold: float = DEFAULT_SPIKE_THRESHOLD):
+    """(k, eta, theta) of each gate whose eta reaches the threshold, in gate order."""
+    if math.isnan(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold}")
+    if not gates:
         raise ValueError("empty trace")
-    return [(g.k, g.eta, g.theta) for g in trace.gates if g.eta >= threshold]
+    return [(g.k, g.eta, g.theta) for g in gates if g.eta >= threshold]
 

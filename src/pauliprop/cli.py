@@ -28,6 +28,7 @@ import platform
 import resource
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,7 @@ from .circuits import (
     tfim_trotter_grid,
 )
 from .convergence import STATUS_CONVERGED, ConvergenceConfig, run_protocol
-from .engine import Aborted, BudgetExceeded, RowCapExceeded, TraceLog, evolve, expectation
+from .engine import Aborted, BudgetExceeded, RowCapExceeded, evolve, expectation, read_trace
 from .estimator import (
     DEFAULT_DELTA_0,
     DEFAULT_PROBE_COUNT,
@@ -294,14 +295,11 @@ def cmd_estimate(args, manifest: _Manifest) -> None:
     )
     prediction = predict_resources(series, targets, tail_points=args.tail_points)
 
-    report = {
-        "series": series.to_json_dict(),
-        "prediction": prediction.to_json_dict(),
-    }
-    write_json(manifest.add("prediction.json"), report)
+    write_json(manifest.add("prediction.json"),
+               {"series": asdict(series), "prediction": asdict(prediction)})
     write_csv(manifest.add("probes.csv"), ["delta", "n_max", "runtime_s"],
               ((p.delta, p.n_max, p.runtime_s) for p in series.probes))
-    for t, nm, rt in zip(targets, prediction.n_max, prediction.runtime_s):
+    for t, nm, rt in zip(targets, prediction.predicted_n_max, prediction.predicted_runtime_s):
         print(f"delta={t:g}: predicted N_max ~ {nm:.4g}, runtime ~ {rt:.4g}s")
     if prediction.low_confidence:
         print("warning: low-confidence prediction (peak near end of circuit)", file=sys.stderr)
@@ -374,7 +372,7 @@ def cmd_analyze(args, manifest: _Manifest) -> None:
     xmin_mults = _parse_float_list(args.xmin_mult) if args.mle else []
     if args.mle and not (xmin_mults and all(mult > 0 for mult in xmin_mults)):
         raise ValueError(f"--xmin-mult must list positive multiples, got {args.xmin_mult!r}")
-    trace = TraceLog.from_csv(args.trace) if args.trace else None
+    gates = read_trace(args.trace) if args.trace else None
 
     hist = spikes = s_rows = None
     if args.histogram:
@@ -386,7 +384,7 @@ def cmd_analyze(args, manifest: _Manifest) -> None:
     if args.regression:
         fits.append(fit_m_regression(snap.coeffs, args.delta, l=args.l))
     if args.spikes:
-        spikes = detect_eta_spikes(trace, threshold=args.threshold)
+        spikes = detect_eta_spikes(gates, threshold=args.threshold)
     if args.s_theta:
         thetas = np.linspace(args.theta_min, args.theta_max, args.theta_count)
         s_rows = s_theta_sweep(PowerLawModel(m=args.m, delta=args.delta), thetas)
@@ -394,7 +392,7 @@ def cmd_analyze(args, manifest: _Manifest) -> None:
     if hist is not None:
         hist.to_csv(manifest.add("histogram.csv"))
     if fits:
-        write_json(manifest.add("fits.json"), [f.to_json_dict() for f in fits])
+        write_json(manifest.add("fits.json"), [asdict(f) for f in fits])
         for f in fits:
             print(f"{f.method} (x_min={f.x_min:g}): m = {f.m:.6f}")
     if spikes is not None:

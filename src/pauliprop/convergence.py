@@ -66,9 +66,6 @@ class ConvergenceConfig:
     def delta_at(self, n: int) -> float:
         return (self.ratio**n) * self.delta_0
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ConvergenceReport:
@@ -112,13 +109,13 @@ class ConvergenceReport:
             return None
         next_n = len(self.steps)
         targets = [self.config.delta_at(next_n), self.config.delta_at(next_n + 1)]
-        return predict_runtime(self.steps, targets).runtime_s
+        return predict_runtime(self.steps, targets).predicted_runtime_s
 
     def to_json_dict(self) -> dict:
         """The deterministic report, written byte-stably: runtimes, which vary
         between executions, are in :meth:`timing_json_dict` instead."""
         out = {
-            "config": self.config.to_json_dict(),
+            "config": asdict(self.config),
             "steps": [
                 {"n": n, "delta": s.delta, "estimate": s.expectation, "n_max": s.n_max}
                 for n, s in enumerate(self.steps)

@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -69,6 +69,7 @@ __all__ = [
     "GateStats",
     "GateState",
     "TraceLog",
+    "read_trace",
     "Aborted",
     "BudgetExceeded",
     "RowCapExceeded",
@@ -84,11 +85,6 @@ _HALF_PI = math.pi / 2.0
 _QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
 DEFAULT_ROW_CAP = 2**31
-# each trace CSV column and the type of its cells, in GateStats's field order
-_TRACE_COLUMNS = {
-    "k": int, "theta": float, "phi": float, "eta": float, "n_before": int, "n_after": int,
-    "truncated": int, "norm": float, "elapsed_ns": int,
-}
 
 
 class Aborted(RuntimeError):
@@ -125,7 +121,7 @@ def trivial_bound(norm: float, delta: float) -> float:
 
 @dataclass
 class GateStats:
-    """Per-gate telemetry."""
+    """Per-gate telemetry: one trace CSV row, its fields the columns."""
 
     k: int
     theta: float
@@ -134,8 +130,17 @@ class GateStats:
     n_before: int
     n_after: int
     truncated: int
-    norm_after: float
+    norm: float  # after the gate
     elapsed_ns: int
+
+
+# each trace CSV column and the type of its cells
+_TRACE_COLUMNS = get_type_hints(GateStats)
+
+
+def read_trace(path) -> list[GateStats]:
+    """The gates of a trace CSV, which needs every column."""
+    return [GateStats(*row) for row in read_csv(path, _TRACE_COLUMNS)]
 
 
 @dataclass
@@ -169,17 +174,7 @@ class TraceLog:
                 )
 
     def to_csv(self, path) -> None:
-        write_csv(path, _TRACE_COLUMNS, (
-            (g.k, g.theta, g.phi, g.eta, g.n_before, g.n_after, g.truncated, g.norm_after,
-             g.elapsed_ns)
-            for g in self.gates
-        ))
-
-    @classmethod
-    def from_csv(cls, path) -> "TraceLog":
-        """The gates of a trace CSV, which needs every column; n, delta and norm are unset."""
-        gates = [GateStats(*row) for row in read_csv(path, _TRACE_COLUMNS)]
-        return cls(n=0, delta=0.0, initial_norm=1.0, gates=gates)
+        write_csv(path, _TRACE_COLUMNS, (vars(g).values() for g in self.gates))
 
     def summary(self, expectation=None) -> dict:
         out = {
@@ -556,7 +551,7 @@ def evolve(
                 cone |= prep.cross_mask
         stats = GateStats(
             k=k, theta=theta, phi=phi, eta=eta, n_before=n_before, n_after=len(coeffs),
-            truncated=truncated, norm_after=norm,
+            truncated=truncated, norm=norm,
             elapsed_ns=time.perf_counter_ns() - gate_start,
         )
         trace.gates.append(stats)

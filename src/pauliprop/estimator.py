@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,25 +68,14 @@ class ProbeSeries:
     def deltas(self) -> np.ndarray:
         return np.array([p.delta for p in self.probes])
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class RegressionFit:
     slope: float
     intercept: float
     r_squared: float
-    n_points: int
-    stderr: float  # of the slope, NaN below 3 points; not in to_json_dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "points": self.n_points,
-        }
+    points: int
+    stderr: float | None  # of the slope, None below 3 points
 
 
 @dataclass
@@ -94,23 +83,12 @@ class ResourcePrediction:
     """Predicted N_max and runtime at finer thresholds."""
 
     targets: list[float]
-    n_max: list[float] | None = None
-    runtime_s: list[float] | None = None
+    predicted_n_max: list[float] | None = None
+    predicted_runtime_s: list[float] | None = None
     nmax_fit: RegressionFit | None = None
     runtime_fit: RegressionFit | None = None
     low_confidence: bool = False
     notes: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "targets": self.targets,
-            "predicted_n_max": self.n_max,
-            "predicted_runtime_s": self.runtime_s,
-            "nmax_fit": self.nmax_fit.to_json_dict() if self.nmax_fit else None,
-            "runtime_fit": self.runtime_fit.to_json_dict() if self.runtime_fit else None,
-            "low_confidence": self.low_confidence,
-            "notes": self.notes,
-        }
 
 
 def probe(
@@ -122,7 +100,7 @@ def probe(
     final, trace = evolve(circuit, observable, delta, budget_s=budget_s, row_cap=row_cap)
     runtime = time.monotonic() - t0
     k_star = trace.k_star
-    norm_at = trace.gates[k_star - 1].norm_after if trace.gates else observable.raw_norm()
+    norm_at = trace.gates[k_star - 1].norm if trace.gates else observable.raw_norm()
     return ProbeResult(
         delta=delta, n_max=trace.n_max, k_star=k_star, norm_at_k_star=norm_at,
         runtime_s=runtime, gate_count=len(trace.gates), expectation=expectation(final),
@@ -206,9 +184,9 @@ def _ols(x: np.ndarray, y: np.ndarray) -> RegressionFit:
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - ym) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    stderr = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else float("nan")
+    stderr = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else None
     return RegressionFit(
-        slope=slope, intercept=float(intercept), r_squared=r2, n_points=n, stderr=stderr
+        slope=slope, intercept=float(intercept), r_squared=r2, points=n, stderr=stderr
     )
 
 
@@ -253,7 +231,7 @@ def predict_nmax(series: ProbeSeries, targets) -> ResourcePrediction:
     if low_conf:
         notes.append("peak term count occurs in the final 5% of gates in a probe run")
     return ResourcePrediction(
-        targets=targets, n_max=preds, nmax_fit=fit, low_confidence=low_conf, notes=notes
+        targets=targets, predicted_n_max=preds, nmax_fit=fit, low_confidence=low_conf, notes=notes
     )
 
 
@@ -279,7 +257,7 @@ def predict_runtime(runs, targets, tail_points: int = DEFAULT_TAIL_POINTS) -> Re
         notes.append("runtime slope is non-positive; series looks pre-asymptotic")
     preds = [math.exp(fit.intercept + fit.slope * math.log(1.0 / t)) for t in targets]
     return ResourcePrediction(
-        targets=targets, runtime_s=preds, runtime_fit=fit, notes=notes
+        targets=targets, predicted_runtime_s=preds, runtime_fit=fit, notes=notes
     )
 
 
@@ -290,7 +268,7 @@ def predict_resources(
     n_pred = predict_nmax(series, targets)
     t_pred = predict_runtime(series.probes, targets, tail_points=tail_points)
     return replace(
-        n_pred, runtime_s=t_pred.runtime_s, runtime_fit=t_pred.runtime_fit,
+        n_pred, predicted_runtime_s=t_pred.predicted_runtime_s, runtime_fit=t_pred.runtime_fit,
         notes=n_pred.notes + t_pred.notes,
     )
 

@@ -99,10 +99,6 @@ class PauliString:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n=n)
-
-    @classmethod
     def from_label(cls, label: str, n: int | None = None) -> "PauliString":
         """Parse either a dense `IXYZ` label (qubit 0 leftmost) or a sparse
         label like ``Z62`` / ``X3*Z7``.  Sparse labels require ``n``.
@@ -156,11 +152,11 @@ class PauliString:
         return cls._from_letters(n, letters.items())
 
     @classmethod
-    def from_words(cls, n: int, z_words, x_words, alpha: int | None = None) -> "PauliString":
-        """Build from the uint64 words of each half; alpha defaults to the canonical phase."""
+    def from_words(cls, n: int, z_words, x_words) -> "PauliString":
+        """The plain string with the uint64 words of each half, in canonical phase."""
         z = int.from_bytes(np.asarray(z_words, np.uint64).tobytes(), "little")
         x = int.from_bytes(np.asarray(x_words, np.uint64).tobytes(), "little")
-        return cls(n=n, z=z, x=x, alpha=(z & x).bit_count() if alpha is None else alpha)
+        return cls(n=n, z=z, x=x, alpha=(z & x).bit_count())
 
     # -- views -------------------------------------------------------------
 

@@ -128,8 +128,8 @@ def test_criterion_03_norm_behavior(rng, heavy_hex, z62):
         _, trace = evolve(circ, obs, 0.0)
         prev = trace.initial_norm
         for g in trace.gates:
-            max_drift = max(max_drift, abs(g.norm_after - prev))
-            prev = g.norm_after
+            max_drift = max(max_drift, abs(g.norm - prev))
+            prev = g.norm
     traces = []
     for delta in (5e-2, 1e-3):
         circ = kicked_ising(heavy_hex, T=5, theta_zz=-math.pi / 2, theta_x_spec=FixedAngle(0.45))
@@ -138,8 +138,8 @@ def test_criterion_03_norm_behavior(rng, heavy_hex, z62):
     for trace in traces:
         prev = trace.initial_norm
         for g in trace.gates:
-            max_rise = max(max_rise, g.norm_after - prev)
-            prev = g.norm_after
+            max_rise = max(max_rise, g.norm - prev)
+            prev = g.norm
     ok = max_drift <= 1e-12 and max_rise <= 1e-12
     _verdict(
         3,
@@ -195,7 +195,7 @@ def test_criterion_06_nmax_extrapolation(heavy_hex, z62):
     targets = [0.005 / 4.0, 0.005 / 8.0]
     prediction = predict_nmax(series, targets)
     errors = []
-    for target, predicted in zip(targets, prediction.n_max):
+    for target, predicted in zip(targets, prediction.predicted_n_max):
         _, trace = evolve(circ, z62, target)
         errors.append(abs(predicted - trace.n_max) / trace.n_max)
     elapsed = time.monotonic() - t0

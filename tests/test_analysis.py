@@ -44,6 +44,9 @@ class TestPowerLawModel:
             PowerLawModel(m=0.0, delta=1e-3)
         with pytest.raises(ValueError):
             PowerLawModel(m=1.0, delta=0.0)
+        for m, delta in ((math.inf, 1e-3), (math.nan, 1e-3), (1.5, math.inf), (1.5, math.nan)):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                PowerLawModel(m=m, delta=delta)
 
     def test_tail_mass_matches_quadrature(self):
         model = PowerLawModel(m=1.5, delta=1e-4)
@@ -129,12 +132,23 @@ class TestFitRegression:
         with pytest.raises(ValueError):
             fit_m_regression(np.full(5000, 3e-4), 1e-4, l=1.0)
 
+    @pytest.mark.parametrize("delta, l, message", [
+        (1e-4, math.nan, "l must be finite"), (1e-4, math.inf, "l must be finite"),
+        (math.nan, 1.0, "delta must be positive and finite"),
+        (math.inf, 1.0, "delta must be positive and finite"),
+        (0.0, 1.0, "delta must be positive and finite"),
+    ])
+    def test_parameter_that_is_not_finite_rejected(self, rng, delta, l, message):
+        samples = power_law_samples(1.5, 1e-4, 5000, rng)
+        with pytest.raises(ValueError, match=message):
+            fit_m_regression(samples, delta, l=l)
+
     def test_two_bins_leave_no_stderr(self):
         delta = 1e-2
         centers = np.linspace(delta, 20.0 * delta, 144)
         fit = fit_m_regression(np.repeat(centers[[0, 10]], [5, 2]), delta, l=1.0)
-        assert fit.n_bins == 2
-        assert fit.to_json_dict()["stderr"] is None
+        assert fit.bins == 2
+        assert fit.stderr is None
 
     def test_low_sample_warning(self, rng):
         samples = power_law_samples(1.5, 1e-4, 400, rng)
@@ -391,27 +405,27 @@ class TestTermCountRecurrence:
 
 
 class TestEtaSpikes:
-    def _trace(self, etas, thetas=None):
-        from pauliprop.engine import GateStats, TraceLog
+    def _gates(self, etas, thetas=None):
+        from pauliprop.engine import GateStats
 
-        trace = TraceLog(n=4, delta=1e-4, initial_norm=1.0)
+        gates = []
         for k, eta in enumerate(etas, start=1):
             theta = 0.3 if thetas is None else thetas[k - 1]
-            trace.gates.append(
+            gates.append(
                 GateStats(k=k, theta=theta, phi=max(eta, 0.5), eta=eta, n_before=10,
-                          n_after=10, truncated=0, norm_after=1.0, elapsed_ns=1)
+                          n_after=10, truncated=0, norm=1.0, elapsed_ns=1)
             )
-        return trace
+        return gates
 
     def test_spikes_sorted_and_thresholded(self):
-        trace = self._trace([0.0, 0.25, 0.1, 0.4, 0.2])
-        spikes = detect_eta_spikes(trace, threshold=0.2)
+        gates = self._gates([0.0, 0.25, 0.1, 0.4, 0.2])
+        spikes = detect_eta_spikes(gates, threshold=0.2)
         assert [k for k, _, _ in spikes] == [2, 4, 5]
         assert all(eta >= 0.2 for _, eta, _ in spikes)
 
     def test_threshold_above_one_empty(self):
-        trace = self._trace([0.5, 0.9, 1.0])
-        assert detect_eta_spikes(trace, threshold=1.01) == []
+        gates = self._gates([0.5, 0.9, 1.0])
+        assert detect_eta_spikes(gates, threshold=1.01) == []
 
     def test_clifford_single_row_trace_empty(self):
         from pauliprop import FixedAngle, Topology, kicked_ising
@@ -420,11 +434,14 @@ class TestEtaSpikes:
         circ = kicked_ising(topo, T=2, theta_zz=-math.pi / 2, theta_x_spec=FixedAngle(math.pi / 2))
         obs = PauliSum.from_terms(4, [("Z0", 1.0)])
         _, trace = evolve(circ, obs, 0.0)
-        assert detect_eta_spikes(trace, threshold=0.2) == []
+        assert detect_eta_spikes(trace.gates, threshold=0.2) == []
 
     def test_empty_trace_rejected(self):
-        from pauliprop.engine import TraceLog
-
         with pytest.raises(ValueError):
-            detect_eta_spikes(TraceLog(n=2, delta=0.0, initial_norm=1.0), 0.2)
+            detect_eta_spikes([], 0.2)
+
+    def test_nan_threshold_rejected(self):
+        # eta >= nan is never true, so a NaN threshold would find no spike
+        with pytest.raises(ValueError, match="threshold must be a number"):
+            detect_eta_spikes(self._gates([0.5, 0.9]), math.nan)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import itertools
 import json
@@ -16,7 +17,7 @@ import scipy
 
 import pauliprop
 from pauliprop import cli
-from pauliprop.analysis import QuadratureError, fit_m_regression, histogram
+from pauliprop.analysis import MFitResult, QuadratureError, fit_m_regression, histogram
 from pauliprop.cli import (
     ABORT_EXIT,
     EXIT_BUDGET,
@@ -29,9 +30,17 @@ from pauliprop.cli import (
     main,
 )
 from pauliprop import engine
-from pauliprop.engine import Aborted
+from pauliprop.convergence import ConvergenceConfig
+from pauliprop.engine import Aborted, GateStats
 from pauliprop.pauli import InvariantViolation
-from pauliprop.estimator import predict_resources, run_probes
+from pauliprop.estimator import (
+    ProbeResult,
+    ProbeSeries,
+    RegressionFit,
+    ResourcePrediction,
+    predict_resources,
+    run_probes,
+)
 
 
 @pytest.fixture
@@ -624,11 +633,25 @@ class TestAnalyze:
         (["--s-theta", "--m", "1.5", "--delta", "1e-3"], "a --snapshot needs"),
         (["--histogram", "--s-theta", "--m", "1.5", "--delta", "1e-3", "--theta-count", "0"],
          "--theta-count must be at least 1, got 0"),
+        (["--histogram", "--s-theta", "--m", "inf", "--delta", "1e-3"],
+         "m must be positive and finite, got inf"),
+        (["--histogram", "--s-theta", "--m", "1.5", "--delta", "inf"],
+         "delta must be positive and finite, got inf"),
+        (["--histogram", "--trace", "TRACE", "--spikes", "--threshold", "nan"],
+         "threshold must be a number, got nan"),
+        (["--histogram", "--regression", "--delta", "1e-3", "--l", "nan"],
+         "l must be finite and >= 1, got nan"),
+        (["--histogram", "--regression", "--delta", "1e-3", "--l", "inf"],
+         "l must be finite and >= 1, got inf"),
+        (["--histogram", "--regression", "--delta", "inf"],
+         "delta must be positive and finite, got inf"),
     ], ids=["mle-without-delta", "regression-without-delta", "s-theta-without-m",
             "trace-without-spikes", "mle-delta-zero", "xmin-mult-negative",
             "regression-delta-negative", "xmin-mult-empty", "xmin-mult-comma",
             "spikes-without-trace", "s-theta-theta-min-zero", "s-theta-m-negative",
-            "regression-no-bins", "snapshot-without-analysis", "s-theta-count-zero"])
+            "regression-no-bins", "snapshot-without-analysis", "s-theta-count-zero",
+            "s-theta-m-inf", "s-theta-delta-inf", "spikes-threshold-nan", "regression-l-nan",
+            "regression-l-inf", "regression-delta-inf"])
     def test_usage_error_writes_nothing(self, tmp_path, rng, capsys, flags, message):
         # nearly every case asks for a histogram, which must not be written before the error
         trace_csv = tmp_path / "trace.csv"
@@ -871,6 +894,40 @@ class TestLifecycle:
 def test_flag_default_is_library_default(command, flag, function):
     parser = next(p for p in _iter_subparsers(build_parser()) if p.prog.endswith(command))
     assert parser.get_default(flag) == inspect.signature(function).parameters[flag].default
+
+
+def test_artifact_keys_are_record_fields(small_circuit, tmp_path):
+    # each record is written under its own field names, so a new field is a new key
+    def fields(record):
+        return [f.name for f in dataclasses.fields(record)]
+
+    inputs = ["--circuit", str(small_circuit), "--observable", "Z2"]
+    dirs = {name: tmp_path / name for name in ("est", "conv", "run", "ana")}
+    assert main(["estimate", *inputs, "--delta0", "0.05", "--count", "4", "--targets", "0.001",
+                 "--out-dir", str(dirs["est"])]) == EXIT_OK
+    assert main(["converge", *inputs, "--max-steps", "3", "--out-dir", str(dirs["conv"])]) == EXIT_OK
+    assert main(["run", *inputs, "--delta", "1e-3", "--snapshots", "steps",
+                 "--out-dir", str(dirs["run"])]) == EXIT_OK
+    (peak,) = dirs["run"].glob("snapshot_peak_k*.npz")
+    assert main(["analyze", "--snapshot", str(peak), "--mle", "--regression", "--delta", "1e-2",
+                 "--out-dir", str(dirs["ana"])]) == EXIT_OK
+
+    prediction = json.loads((dirs["est"] / "prediction.json").read_text())
+    series, predicted = prediction["series"], prediction["prediction"]
+    assert sorted(series) == sorted(fields(ProbeSeries))
+    for probe in series["probes"]:
+        assert sorted(probe) == sorted(fields(ProbeResult))
+    assert sorted(predicted) == sorted(fields(ResourcePrediction))
+    for fit in ("nmax_fit", "runtime_fit"):
+        assert sorted(predicted[fit]) == sorted(fields(RegressionFit))
+    fits = json.loads((dirs["ana"] / "fits.json").read_text())
+    assert [f["method"] for f in fits] == ["mle", "regression"]
+    for fit in fits:
+        assert sorted(fit) == sorted(fields(MFitResult))
+    config = json.loads((dirs["conv"] / "report.json").read_text())["config"]
+    assert sorted(config) == sorted(fields(ConvergenceConfig))
+    with open(dirs["run"] / "trace.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == fields(GateStats)
 
 
 class TestConfigPrecedence:

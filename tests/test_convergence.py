@@ -105,19 +105,35 @@ class TestRunProtocol:
         report = run_protocol(circ, obs, config)
         assert report.extrapolated_runtime_s is None or len(report.extrapolated_runtime_s) == 2
 
-    @pytest.mark.parametrize("theta_x", [0.7, 1.0])
-    def test_emptied_steps_never_converge(self, theta_x):
-        # T = 10 on the open 4x4 grid: truncation empties the state at delta =
-        # 2^-3 ... 2^-6, whose zero estimates agree within eps_tol; the exact
-        # values are +0.0671 and +0.0022
+    def _open_grid_problem(self, theta_x):
+        """T = 10 on the open 4x4 grid, observable Z on the centre qubit 10."""
         circ = kicked_ising(Topology.grid(4, 4), T=10, theta_zz=-math.pi / 2,
                             theta_x_spec=FixedAngle(theta_x))
-        obs = PauliSum.from_terms(16, [("Z10", 1.0)])
+        return circ, PauliSum.from_terms(16, [("Z10", 1.0)])
+
+    @pytest.mark.parametrize("theta_x", [0.7, 1.0])
+    def test_emptied_steps_never_converge(self, theta_x):
+        # truncation empties the state at delta = 2^-3 ... 2^-6, whose zero
+        # estimates agree within eps_tol; the exact values are +0.0671 and +0.0022
+        circ, obs = self._open_grid_problem(theta_x)
         report = run_protocol(circ, obs, ConvergenceConfig(t_cpu_s=60.0, max_steps=7))
         assert report.status == STATUS_STEP_LIMIT
         emptied = [n for n, s in enumerate(report.steps) if s.final_rows == 0]
         assert emptied[:4] == [0, 1, 2, 3]
         assert report.to_json_dict()["emptied_steps"] == emptied
+
+    @pytest.mark.parametrize("theta_x, max_steps, status", [
+        (0.3, 9, STATUS_CONVERGED), (0.5, 7, STATUS_STEP_LIMIT),
+    ])
+    def test_no_converged_window_holds_an_emptied_step(self, theta_x, max_steps, status):
+        # 0.3 converges at 2^-11 on -0.2146 (exact -0.1983) and empties no
+        # step; 0.5 empties at 2^-3 only and agrees nowhere (exact -0.0618)
+        circ, obs = self._open_grid_problem(theta_x)
+        config = ConvergenceConfig(t_cpu_s=60.0, max_steps=max_steps)
+        report = run_protocol(circ, obs, config)
+        assert (report.status, len(report.steps)) == (status, max_steps)
+        if report.window:
+            assert all(s.final_rows for s in report.steps[-config.ell:])
 
     def test_determinism_of_estimates(self):
         circ, obs = self._generic_problem()

@@ -304,8 +304,8 @@ class TestEvolve:
         _, trace = evolve(_circuit(n, gates), obs, 0.0)
         prev = trace.initial_norm
         for g in trace.gates:
-            assert abs(g.norm_after - prev) < 1e-12
-            prev = g.norm_after
+            assert abs(g.norm - prev) < 1e-12
+            prev = g.norm
 
     def test_norm_monotone_with_truncation(self, rng):
         n = 5
@@ -314,8 +314,8 @@ class TestEvolve:
         _, trace = evolve(_circuit(n, gates), obs, 0.05)
         prev = trace.initial_norm
         for g in trace.gates:
-            assert g.norm_after <= prev + 1e-12
-            prev = g.norm_after
+            assert g.norm <= prev + 1e-12
+            prev = g.norm
 
     def test_clifford_invariance_single_row(self):
         topo = Topology.grid(2, 3)
@@ -488,7 +488,7 @@ class TestSingleRotationPath:
             final.bits.astype("<u8").tobytes() + final.coeffs.astype("<f8").tobytes()
         ).hexdigest()
         columns = [(g.k, g.phi, g.eta, g.n_before, g.n_after, g.truncated) for g in trace.gates]
-        rows = [(*row, g.norm_after) for row, g in zip(columns, trace.gates)]
+        rows = [(*row, g.norm) for row, g in zip(columns, trace.gates)]
         assert (trace.n_max, trace.k_star, repr(expectation(final))) == GOLDEN_SUMMARY
         assert state == GOLDEN_STATE_SHA256
         assert hashlib.sha256(repr(columns).encode()).hexdigest() == GOLDEN_TRACE_COLUMNS_SHA256
@@ -552,11 +552,11 @@ NORM_ULPS = 64
 def _assert_trace_matches(trace, ref_rows):
     """Every column but elapsed_ns bit for bit, except the norm: within NORM_ULPS."""
     fields = [f.name for f in dataclasses.fields(GateStats)
-              if f.name not in ("norm_after", "elapsed_ns")]
+              if f.name not in ("norm", "elapsed_ns")]
     assert repr([tuple(getattr(g, name) for name in fields) for g in trace.gates]) == \
         repr([row[:-1] for row in ref_rows])
     for g, row in zip(trace.gates, ref_rows):
-        assert abs(g.norm_after - row[-1]) <= NORM_ULPS * math.ulp(row[-1]), g.k
+        assert abs(g.norm - row[-1]) <= NORM_ULPS * math.ulp(row[-1]), g.k
 
 
 def _assert_state(s, want):
@@ -618,7 +618,7 @@ class TestLightCone:
             _, trace = evolve(circuit, obs, 0.0)
         assert scan.call_count == 1
         assert [g.phi for g in trace.gates] == [0.0, 1.0, 0.0, 0.0]
-        norms = [g.norm_after for g in trace.gates]
+        norms = [g.norm for g in trace.gates]
         assert norms == [1.0, norms[1], norms[1], norms[1]]
 
 
@@ -1003,7 +1003,7 @@ class TestTraceLog:
         for k, n_after in enumerate([1, 4, 9, 9, 3], start=1):
             trace.gates.append(
                 GateStats(k=k, theta=0.1, phi=0.0, eta=0.0, n_before=1, n_after=n_after,
-                          truncated=0, norm_after=1.0, elapsed_ns=10)
+                          truncated=0, norm=1.0, elapsed_ns=10)
             )
         assert trace.n_max == 9
         assert trace.k_star == 3
@@ -1012,7 +1012,7 @@ class TestTraceLog:
         trace = TraceLog(n=2, delta=0.5, initial_norm=1.0)
         trace.gates.append(
             GateStats(k=1, theta=0.1, phi=0.0, eta=0.0, n_before=1, n_after=100,
-                      truncated=0, norm_after=1.0, elapsed_ns=10)
+                      truncated=0, norm=1.0, elapsed_ns=10)
         )
         with pytest.raises(InvariantViolation):
             trace.finalize()
@@ -1024,10 +1024,10 @@ class TestTraceLog:
         _, trace = evolve(_circuit(n, gates), obs, 1e-3)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
-        back = TraceLog.from_csv(path)
-        assert [g.n_after for g in back.gates] == [g.n_after for g in trace.gates]
-        assert [g.theta for g in back.gates] == [g.theta for g in trace.gates]
-        assert [g.norm_after for g in back.gates] == [g.norm_after for g in trace.gates]
+        back = engine.read_trace(path)
+        assert [g.n_after for g in back] == [g.n_after for g in trace.gates]
+        assert [g.theta for g in back] == [g.theta for g in trace.gates]
+        assert [g.norm for g in back] == [g.norm for g in trace.gates]
 
 
 class TestExpectation:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -59,7 +60,7 @@ class TestPredictNmax:
         series = _series(deltas, n_maxes)
         targets = [0.00125, 0.000625]
         pred = predict_nmax(series, targets)
-        for t, got in zip(targets, pred.n_max):
+        for t, got in zip(targets, pred.predicted_n_max):
             want = 2.5 * t**-m
             assert abs(got - want) / want < 1e-9
         assert pred.nmax_fit.r_squared > 1 - 1e-12
@@ -70,7 +71,7 @@ class TestPredictNmax:
         n_maxes = [50.0, 50.0 * 2**8]
         series = _series(deltas, n_maxes)
         pred = predict_nmax(series, [1e-3])
-        assert pred.n_max[0] <= trivial_bound(1.0, 1e-3)
+        assert pred.predicted_n_max[0] <= trivial_bound(1.0, 1e-3)
         assert any("clamped" in n for n in pred.notes)
 
     def test_clamped_to_worst_case(self):
@@ -78,7 +79,7 @@ class TestPredictNmax:
         n_maxes = [10.0, 1000.0]
         series = _series(deltas, n_maxes, n_qubits=3)
         pred = predict_nmax(series, [1e-6])
-        assert pred.n_max[0] <= 4.0**3
+        assert pred.predicted_n_max[0] <= 4.0**3
 
     def test_targets_must_be_finer(self):
         series = _series([0.01, 0.005], [10, 20])
@@ -114,7 +115,7 @@ class TestPredictRuntime:
         series = _series(deltas, [10] * 4, runtimes=times)
         pred = predict_runtime(series.probes, [0.000625])
         want = 3.0 * 0.000625**-a
-        assert abs(pred.runtime_s[0] - want) / want < 1e-9
+        assert abs(pred.predicted_runtime_s[0] - want) / want < 1e-9
         assert abs(pred.runtime_fit.slope - a) < 1e-9
 
     def test_tail_fit_ignores_pre_break_regime(self):
@@ -218,7 +219,7 @@ class TestRunProbes:
         circ, obs = self._small_problem()
         series = run_probes(circ, obs, delta_0=0.05, ratio=0.5, count=4)
         pred = predict_resources(series, [1e-3, 5e-4])
-        payload = pred.to_json_dict()
+        payload = dataclasses.asdict(pred)
         assert payload["predicted_n_max"] is not None
         assert payload["predicted_runtime_s"] is not None
         assert len(payload["predicted_n_max"]) == 2

@@ -122,7 +122,7 @@ class TestMultiply:
 
     def test_identity_leaves_alpha(self):
         p = PauliString.from_label("XYZI")
-        ident = PauliString.identity(4)
+        ident = PauliString(n=4)
         assert multiply_by_generator(p, ident) == p
 
     def test_self_product_is_plus_identity(self, rng):
