@@ -400,10 +400,13 @@ def predict_term_count_step(
 
 
 def detect_eta_spikes(gates: list[GateStats], threshold: float = DEFAULT_SPIKE_THRESHOLD):
-    """(k, eta, theta) of each gate whose eta reaches the threshold, in gate order."""
+    """(k, eta, theta) of each gate whose eta reaches the threshold, in gate order.
+
+    A gate whose eta was not measured (None, an absorbed quarter turn) is skipped.
+    """
     if math.isnan(threshold):
         raise ValueError(f"threshold must be a number, got {threshold}")
     if not gates:
         raise ValueError("empty trace")
-    return [(g.k, g.eta, g.theta) for g in gates if g.eta >= threshold]
+    return [(g.k, g.eta, g.theta) for g in gates if g.eta is not None and g.eta >= threshold]
 

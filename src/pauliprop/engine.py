@@ -15,9 +15,10 @@ and flip signs, and truncate nothing.  :func:`evolve` absorbs them into a
 Clifford frame (:mod:`pauliprop.frame`) instead of moving rows, and rotates
 every other gate about the framed generator Φ⁻¹(σ), Φ⁻¹'s sign taken into
 the rotation's sin; every state that leaves is unframed and sorted
-canonically.  An absorbed gate still scans the framed state once, so phi
-and eta are recorded as before, and it repeats the previous norm.  Until
-the first absorb there is no frame.
+canonically.  An absorbed gate only counts the framed state's anti-commuting
+rows, for phi, and repeats the previous norm.  It searches for no partner:
+a quarter turn swaps each pair, so eta carries nothing and is recorded as
+None, not measured.  Until the first absorb there is no frame.
 
 Idle gates are skipped without touching a row.  :func:`evolve` keeps a
 light cone, one int in a string's own coordinates: the OR over every true
@@ -126,7 +127,7 @@ class GateStats:
     k: int
     theta: float
     phi: float
-    eta: float
+    eta: float | None  # None where not measured: at an absorbed quarter turn
     n_before: int
     n_after: int
     truncated: int
@@ -134,8 +135,8 @@ class GateStats:
     elapsed_ns: int
 
 
-# each trace CSV column and the type of its cells
-_TRACE_COLUMNS = get_type_hints(GateStats)
+# each trace CSV column and the type of its cells; csv writes None as an empty cell
+_TRACE_COLUMNS = get_type_hints(GateStats) | {"eta": lambda cell: float(cell) if cell else None}
 
 
 def read_trace(path) -> list[GateStats]:
@@ -531,10 +532,9 @@ def evolve(
             # Φ⁻¹(sigma) = sign * (words, canon); the sign goes onto sin exactly (_fold)
             words, canon, sign = prep[:2] + (1.0,) if frame is None else frame.framed(prep)
             if cos_t == 0.0:  # an exact odd quarter turn: absorbed, so no row moves
-                anti_idx, _, pos = _scan(bits, words)
-                if len(anti_idx):  # rows relabelled with flipped signs keep the norm
-                    phi = len(anti_idx) / n_before
-                    eta = int(np.count_nonzero(pos >= 0)) / n_before
+                n_anti = int(np.count_nonzero(kernels.anti_mask(bits, words)))
+                if n_anti:  # rows relabelled with flipped signs keep the norm
+                    phi, eta = n_anti / n_before, None  # pairs only swap: eta is not measured
                     if frame is None:
                         frame = clifford.Frame(n)
                     frame.absorb(prep, sin_t)

@@ -427,6 +427,11 @@ class TestEtaSpikes:
         gates = self._gates([0.5, 0.9, 1.0])
         assert detect_eta_spikes(gates, threshold=1.01) == []
 
+    def test_unmeasured_eta_skipped(self):
+        gates = self._gates([0.25, 0.0, 0.4])
+        gates[1].eta = None  # an absorbed quarter turn
+        assert [k for k, _, _ in detect_eta_spikes(gates, threshold=0.0)] == [1, 3]
+
     def test_clifford_single_row_trace_empty(self):
         from pauliprop import FixedAngle, Topology, kicked_ising
 

@@ -599,6 +599,22 @@ class TestAnalyze:
         spikes = json.loads((out_dir / "spikes.json").read_text())
         assert spikes == [{"k": 2, "eta": 0.368, "theta": 0.96}]
 
+    def test_spikes_skip_absorbed_quarter_turns(self, small_circuit, tmp_path):
+        # an absorbed quarter turn writes an empty eta cell, which reads back
+        # as not measured: at threshold 0 every other gate is a spike
+        run_dir, out_dir = tmp_path / "run", tmp_path / "spk"
+        assert main(["run", "--circuit", str(small_circuit), "--observable", "Z2",
+                     "--delta", "1e-3", "--out-dir", str(run_dir)]) == EXIT_OK
+        with open(run_dir / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        absorbed = {int(row["k"]) for row in rows if row["eta"] == ""}
+        assert absorbed
+        code = main(["analyze", "--trace", str(run_dir / "trace.csv"), "--spikes",
+                     "--threshold", "0", "--out-dir", str(out_dir)])
+        assert code == EXIT_OK
+        spikes = json.loads((out_dir / "spikes.json").read_text())
+        assert {s["k"] for s in spikes} == {int(row["k"]) for row in rows} - absorbed
+
     def test_s_theta_sweep_symmetric_csv(self, tmp_path):
         out_dir = tmp_path / "sth"
         code = main([

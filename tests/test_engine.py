@@ -355,7 +355,8 @@ class TestEvolve:
         obs = PauliSum.from_terms(n, [("ZZIII", 0.7), ("IIXYZ", 0.3)])
         _, trace = evolve(_circuit(n, gates), obs, 1e-4)
         for g in trace.gates:
-            assert 0.0 <= g.eta <= g.phi <= 1.0
+            assert 0.0 <= g.phi <= 1.0
+            assert g.eta is None or 0.0 <= g.eta <= g.phi
             assert g.n_after <= g.n_before + int(round(g.phi * g.n_before))
 
     def test_determinism_bitwise(self, rng):
@@ -451,12 +452,16 @@ def _golden_circuit():
     return _circuit(6, gates)
 
 
+def _golden_observable():
+    return PauliSum.from_terms(6, [("Z2", 1.0), ("X0*Z1", 0.5), ("Y4", -0.25)])
+
+
 GOLDEN_SUMMARY = (435, 48, "0.09492838905354659")
 GOLDEN_STATE_SHA256 = "8c9e1de96a63e48837bbddab61c3b496e1e9c5373f3922e9e913e42d1009bc82"
 # every trace column but the norm, unchanged since the engine that moved rows
-# for quarter turns
-GOLDEN_TRACE_COLUMNS_SHA256 = "915d20bb47e76f6f3bd836e6187936012f8d375b0288cb24d09773c31b08b006"
-GOLDEN_TRACE_SHA256 = "7a999f2ae4290b60bed316d4197cae9823e77bcbbccbca54cb28270d6dc1a4a8"
+# for quarter turns but for eta, None at the 19 absorbed quarter turns
+GOLDEN_TRACE_COLUMNS_SHA256 = "308c4a8fa23e1c6109ca36e4e817811681c1f73d683950018a90d27d4ba9adb2"
+GOLDEN_TRACE_SHA256 = "e957677d950b43d014f2ba7b491e216dd3afcd1ab1dcec234d34832f3a95827c"
 
 
 # (label, q, residual): the angle q*pi/2 + residual, an exact multiple of pi/2 when residual is 0
@@ -481,9 +486,10 @@ class TestSingleRotationPath:
         # value but the norm.  The full trace digest was re-recorded twice:
         # when the norm moved from a BLAS dot to numpy's pairwise sum, and
         # when it came to be summed in the frame's row order (6 of the 48
-        # norms moved by 1-2 ulp)
-        obs = PauliSum.from_terms(6, [("Z2", 1.0), ("X0*Z1", 0.5), ("Y4", -0.25)])
-        final, trace = evolve(_golden_circuit(), obs, 2.0**-8)
+        # norms moved by 1-2 ulp).  Both trace digests were re-recorded when
+        # absorbed quarter turns stopped measuring eta; every other value,
+        # the norms included, stayed bit for bit
+        final, trace = evolve(_golden_circuit(), _golden_observable(), 2.0**-8)
         state = hashlib.sha256(
             final.bits.astype("<u8").tobytes() + final.coeffs.astype("<f8").tobytes()
         ).hexdigest()
@@ -550,11 +556,18 @@ NORM_ULPS = 64
 
 
 def _assert_trace_matches(trace, ref_rows):
-    """Every column but elapsed_ns bit for bit, except the norm: within NORM_ULPS."""
+    """Every column but elapsed_ns bit for bit, except the norm: within NORM_ULPS.
+
+    eta is compared wherever the engine measured it; an absorbed quarter turn
+    records None, and the reference, which runs _gate there too, a number.
+    """
     fields = [f.name for f in dataclasses.fields(GateStats)
               if f.name not in ("norm", "elapsed_ns")]
+    at = fields.index("eta")
+    assert len(trace.gates) == len(ref_rows)
     assert repr([tuple(getattr(g, name) for name in fields) for g in trace.gates]) == \
-        repr([row[:-1] for row in ref_rows])
+        repr([row[:at] + (None,) + row[at + 1:-1] if g.eta is None else row[:-1]
+              for g, row in zip(trace.gates, ref_rows)])
     for g, row in zip(trace.gates, ref_rows):
         assert abs(g.norm - row[-1]) <= NORM_ULPS * math.ulp(row[-1]), g.k
 
@@ -566,19 +579,23 @@ def _assert_state(s, want):
 
 
 def _evolve_recording_scans(circuit, observable, delta):
-    """evolve, plus the 1-based indices of the gates that scanned the state."""
-    real_trace_log, real_scan = engine.TraceLog, engine._scan
+    """evolve, plus the 1-based indices of the gates that scanned the state.
+
+    Every scan, an absorbed gate's count included, runs kernels.anti_mask.
+    """
+    real_trace_log, real_anti_mask = engine.TraceLog, kernels.anti_mask
     traces, scanned = [], set()
 
     def trace_log(*args, **kwargs):
         traces.append(real_trace_log(*args, **kwargs))
         return traces[-1]
 
-    def scan(*args):
+    def anti_mask(*args):
         scanned.add(len(traces[-1].gates) + 1)
-        return real_scan(*args)
+        return real_anti_mask(*args)
 
-    with mock.patch.object(engine, "TraceLog", trace_log), mock.patch.object(engine, "_scan", scan):
+    with mock.patch.object(engine, "TraceLog", trace_log), \
+            mock.patch.object(kernels, "anti_mask", anti_mask):
         final, trace = evolve(circuit, observable, delta)
     return final, trace, scanned
 
@@ -887,6 +904,32 @@ class TestCliffordFrame:
         _assert_state(final, states[-1])
         _assert_trace_matches(trace, ref_rows)
 
+    @pytest.mark.parametrize("case", ["kicked-ising-grid", "golden"])
+    def test_absorbed_gate_counts_once_and_searches_no_partner(self, case):
+        # a quarter turn swaps each pair, so an absorbed gate needs phi alone:
+        # one anti_mask count, no partner search, and eta recorded as None
+        if case == "golden":
+            circuit, obs, delta = _golden_circuit(), _golden_observable(), 2.0**-8
+        else:
+            circuit, delta = kicked_ising(Topology.grid(3, 3), T=5, theta_zz=-math.pi / 2,
+                                          theta_x_spec=FixedAngle(0.3)), 1e-3
+            obs = PauliSum.from_terms(9, [("Z4", 1.0)])
+        counts = []  # (anti_mask, find_rows) calls so far, at the end of each gate
+        with mock.patch.object(kernels, "anti_mask", wraps=kernels.anti_mask) as anti, \
+                mock.patch.object(kernels, "find_rows", wraps=kernels.find_rows) as find:
+            _, trace = evolve(circuit, obs, delta, on_gate=lambda stats, state: counts.append(
+                (anti.call_count, find.call_count)))
+        absorbed = 0
+        for g, (_sigma, theta), before, after in zip(trace.gates, circuit.gates,
+                                                    [(0, 0)] + counts, counts):
+            if engine._fold(theta)[0] == 0.0 and g.phi > 0.0:
+                absorbed += 1
+                assert (after[0] - before[0], after[1] - before[1]) == (1, 0), g.k
+                assert g.eta is None, g.k
+            else:
+                assert g.eta is not None, g.k
+        assert trace.absorbed == sum(g.eta is None for g in trace.gates) == absorbed > 0
+
     def test_no_frame_before_the_first_absorb(self):
         # residual angles and exact half turns: nothing to absorb, so no frame
         # is made, even with snapshots and a peak snapshot to unframe
@@ -1017,17 +1060,14 @@ class TestTraceLog:
         with pytest.raises(InvariantViolation):
             trace.finalize()
 
-    def test_csv_round_trip(self, tmp_path, rng):
-        n = 3
-        gates = random_circuit_gates(rng, n, 10)
-        obs = PauliSum.from_terms(n, [("ZII", 1.0)])
-        _, trace = evolve(_circuit(n, gates), obs, 1e-3)
+    def test_csv_round_trip(self, tmp_path):
+        # quarter turns, absorbed with eta None, among rotated gates
+        _, trace = evolve(_golden_circuit(), _golden_observable(), 2.0**-8)
+        assert trace.absorbed == sum(g.eta is None for g in trace.gates) > 0
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         back = engine.read_trace(path)
-        assert [g.n_after for g in back] == [g.n_after for g in trace.gates]
-        assert [g.theta for g in back] == [g.theta for g in trace.gates]
-        assert [g.norm for g in back] == [g.norm for g in trace.gates]
+        assert back == trace.gates
 
 
 class TestExpectation:
