@@ -402,7 +402,7 @@ def predict_term_count_step(
 def detect_eta_spikes(gates: list[GateStats], threshold: float = DEFAULT_SPIKE_THRESHOLD):
     """(k, eta, theta) of each gate whose eta reaches the threshold, in gate order.
 
-    A gate whose eta was not measured (None, an absorbed quarter turn) is skipped.
+    A gate whose eta was not measured (None, a whole number of quarter turns) is skipped.
     """
     if math.isnan(threshold):
         raise ValueError(f"threshold must be a number, got {threshold}")

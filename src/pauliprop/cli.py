@@ -151,7 +151,7 @@ def _resolve_path(path) -> Path:
 def _load_observable(spec: str, n: int) -> PauliSum:
     """A sparse/dense Pauli label, or a JSON file of (label, coeff) terms."""
     path = Path(spec)
-    if path.suffix == ".json" and path.exists():
+    if path.suffix == ".json":
         payload = read_json(path)
         terms = payload.get("terms") if isinstance(payload, dict) else payload
         try:
@@ -267,7 +267,7 @@ def cmd_run(args, manifest: _Manifest) -> None:
         row_gates=sum(g.n_before for g in trace.gates),
         peak_state_bytes=trace.n_max * (8 * observable.width + 8),
         ru_maxrss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        absorbed_quarter_turns=trace.absorbed,
+        absorbed_quarter_turns=sum(g.eta is None for g in trace.gates),
     )
     if aborted is not None:  # the partial run is written; main writes the manifest
         raise aborted

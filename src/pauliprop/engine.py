@@ -3,22 +3,22 @@
 Each Pauli rotation partitions the current rows by commutation with the gate
 generator.  Commuting rows pass through; anti-commuting rows rotate in the
 (P, iσP) plane, merging with the partner row when it already exists and
-branching a new row otherwise.  :func:`evolve` folds the angle's exact
-quarter turns into that one rotation's cos and sin, once per gate, so every
-coefficient gets a single update.  The coefficient threshold is applied to
-the observable once on entry and then, per gate, only to the rows the gate
-changed: the anti-commuting rows and their new branches.  A gate that at
-most flips signs (no anti-commuting row, or a multiple of pi) skips it.
+branching a new row otherwise.  :func:`evolve` splits each angle once into q
+quarter turns and a residual |r| <= pi/4, and only the residual moves rows.
+The coefficient threshold is applied to the observable once on entry and
+then, per gate, only to the rows the gate changed: the anti-commuting rows
+and their new branches.
 
-Exact odd quarter turns (cos = 0) are Clifford maps: they only relabel rows
-and flip signs, and truncate nothing.  :func:`evolve` absorbs them into a
-Clifford frame (:mod:`pauliprop.frame`) instead of moving rows, and rotates
-every other gate about the framed generator Φ⁻¹(σ), Φ⁻¹'s sign taken into
-the rotation's sin; every state that leaves is unframed and sorted
-canonically.  An absorbed gate only counts the framed state's anti-commuting
-rows, for phi, and repeats the previous norm.  It searches for no partner:
-a quarter turn swaps each pair, so eta carries nothing and is recorded as
-None, not measured.  Until the first absorb there is no frame.
+Quarter turns are Clifford maps: they only relabel rows and flip signs, and
+truncate nothing.  :func:`evolve` absorbs a gate's q quarter turns into a
+Clifford frame (:mod:`pauliprop.frame`) instead of moving rows, after
+rotating by the residual about the framed generator Φ⁻¹(σ), Φ⁻¹'s sign taken
+into the rotation's sin; every state that leaves is unframed and sorted
+canonically.  A gate whose angle is a whole number of quarter turns only
+counts the framed state's anti-commuting rows, for phi, and repeats the
+previous norm.  It searches for no partner: a quarter turn swaps each pair
+and a half turn keeps it, so eta carries nothing and is recorded as None,
+not measured.  Until the first absorb there is no frame.
 
 Idle gates are skipped without touching a row.  :func:`evolve` keeps a
 light cone, one int in a string's own coordinates: the OR over every true
@@ -82,8 +82,6 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
-# exact (cos, sin) of q quarter turns
-_QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
 DEFAULT_ROW_CAP = 2**31
 
@@ -127,7 +125,7 @@ class GateStats:
     k: int
     theta: float
     phi: float
-    eta: float | None  # None where not measured: at an absorbed quarter turn
+    eta: float | None  # None where not measured: at a whole number of quarter turns
     n_before: int
     n_after: int
     truncated: int
@@ -153,7 +151,6 @@ class TraceLog:
     initial_norm: float
     gates: list[GateStats] = field(default_factory=list)
     aborted: str | None = None
-    absorbed: int = 0  # exact quarter turns absorbed into the Clifford frame
 
     @property
     def n_max(self) -> int:
@@ -367,26 +364,23 @@ def _splice(bits, coeffs, changed, delta, new_bits, new_coeffs):
     return out_bits, out_coeffs, len(drops)
 
 
-def _fold(angle):
-    """(cos, sin) of angle = q*(pi/2) + residual, |residual| <= pi/4, as one rotation.
+def _split(angle):
+    """(q, r): angle = q quarter turns + residual r, |r| <= pi/4.
 
-    The quarter-turn factors are 0 or +-1, so composing is exact, and cos is
-    exactly 0.0 for an exact odd quarter turn and only then.  Negating the
-    angle negates sin and leaves cos unchanged, bit for bit.
+    r is exactly 0.0 for a whole number of quarter turns and only then, and
+    -angle splits to (-q, -r).
     """
     q = round(angle / _HALF_PI)
-    residual = angle - q * _HALF_PI
-    cq, sq = _QUARTER_TURNS[q % 4]
-    cos_r, sin_r = math.cos(residual), math.sin(residual)
-    return cq * cos_r - sq * sin_r, sq * cos_r + cq * sin_r
+    return q, angle - q * _HALF_PI
 
 
 def _gate(bits, coeffs, words, canon, cos_t, sin_t, delta, row_cap):
     """One rotation on canonically sorted arrays whose rows all pass the threshold.
 
-    The angle comes folded, as (cos_t, sin_t); the generator is the one of keyed
-    ``words`` and canonical alpha ``canon``.  Returns (bits, coeffs, phi, eta,
-    truncated, cap_exceeded); on a cap the arrays are returned untouched.
+    The angle comes as (cos_t, sin_t), a residual's in :func:`evolve`; the
+    generator is the one of keyed ``words`` and canonical alpha ``canon``.
+    Returns (bits, coeffs, phi, eta, truncated, cap_exceeded); on a cap the
+    arrays are returned untouched.
     """
     n_rows = len(coeffs)
     anti_idx, anti_bits, pos = _scan(bits, words)
@@ -396,16 +390,8 @@ def _gate(bits, coeffs, words, canon, cos_t, sin_t, delta, row_cap):
     paired = pos >= 0
     n_paired = int(np.count_nonzero(paired))
     phi, eta = n_anti / n_rows, n_paired / n_rows
-
-    if sin_t == 0.0:  # a multiple of pi: identity or a sign flip
-        if cos_t < 0.0:
-            coeffs[anti_idx] *= cos_t
-        return bits, coeffs, phi, eta, 0, False
-
     n_unpaired = n_anti - n_paired
-    # an exact odd quarter turn moves each unpaired row onto its branch
-    vacated = n_unpaired if cos_t == 0.0 else 0
-    if n_rows + n_unpaired - vacated > row_cap:
+    if n_rows + n_unpaired > row_cap:
         return bits, coeffs, phi, eta, 0, True
     signs = kernels.branch_signs(anti_bits, words, canon)
     if np.any(signs == 0):
@@ -437,7 +423,7 @@ def _gate(bits, coeffs, words, canon, cos_t, sin_t, delta, row_cap):
     coeffs[unpaired_rows] *= cos_t
     # only the anti rows' coefficients changed
     bits, coeffs, dropped = _splice(bits, coeffs, anti_idx, delta, new_bits, new_coeffs)
-    return bits, coeffs, phi, eta, dropped + new_dropped - vacated, False
+    return bits, coeffs, phi, eta, dropped + new_dropped, False
 
 
 def apply_rotation(
@@ -506,7 +492,7 @@ def evolve(
     norm = math.sqrt(pairwise_dot(coeffs, coeffs))
     reach = PauliString.from_words(n, *np.bitwise_or.reduce(bits, axis=0).byteswap().reshape(2, -1))
     cone = reach.x | reach.z << n  # the OR of the thresholded rows, halves swapped
-    frame = None  # made at the first absorbed quarter turn
+    frame = None  # made at the first absorb
 
     t0 = time.monotonic()
     deadline = None if budget_s is None else t0 + budget_s
@@ -528,27 +514,27 @@ def evolve(
         prep = preps[k - 1]
         phi, eta, truncated = 0.0, 0.0, 0
         if cone & prep.mask:  # else outside the light cone: no row anti-commutes
-            cos_t, sin_t = _fold(prep.orientation * theta)
-            # Φ⁻¹(sigma) = sign * (words, canon); the sign goes onto sin exactly (_fold)
+            q, r = _split(prep.orientation * theta)
+            # Φ⁻¹(sigma) = sign * (words, canon); the sign goes onto sin exactly
             words, canon, sign = prep[:2] + (1.0,) if frame is None else frame.framed(prep)
-            if cos_t == 0.0:  # an exact odd quarter turn: absorbed, so no row moves
-                n_anti = int(np.count_nonzero(kernels.anti_mask(bits, words)))
-                if n_anti:  # rows relabelled with flipped signs keep the norm
-                    phi, eta = n_anti / n_before, None  # pairs only swap: eta is not measured
-                    if frame is None:
-                        frame = clifford.Frame(n)
-                    frame.absorb(prep, sin_t)
-                    trace.absorbed += 1
-            else:
+            if r:
                 bits, coeffs, phi, eta, truncated, capped = _gate(
-                    bits, coeffs, words, canon, cos_t, sign * sin_t, delta, cap
+                    bits, coeffs, words, canon, math.cos(r), sign * math.sin(r), delta, cap
                 )
                 if capped:
                     raise stop(RowCapExceeded, f"row cap {cap} exceeded at gate {k}/{len(preps)}")
                 if phi > 0.0:  # with phi = 0 nothing changed
                     norm = math.sqrt(pairwise_dot(coeffs, coeffs))
-            if phi > 0.0:  # a gate adds only rows P ^ sigma
-                cone |= prep.cross_mask
+            else:  # rows relabelled with flipped signs keep the norm
+                n_anti = int(np.count_nonzero(kernels.anti_mask(bits, words)))
+                if n_anti:  # pairs only swap or stay: eta is not measured
+                    phi, eta = n_anti / n_before, None
+            if phi > 0.0:
+                if q % 4:  # the quarter turns go into the frame, so no row moves
+                    if frame is None:
+                        frame = clifford.Frame(n)
+                    frame.absorb(prep, q)
+                cone |= prep.cross_mask  # a gate adds only rows P ^ sigma
         stats = GateStats(
             k=k, theta=theta, phi=phi, eta=eta, n_before=n_before, n_after=len(coeffs),
             truncated=truncated, norm=norm,

@@ -1,15 +1,16 @@
 """The Clifford frame of :func:`pauliprop.engine.evolve`.
 
-An exact odd quarter turn is a Clifford map: it only relabels rows and
-flips signs, and truncates nothing.  ``evolve`` absorbs each one into a
-frame Φ instead of moving rows, keeping the true state as Φ of the framed
-state it stores (Begušić, Hejazi & Chan, arXiv:2306.04797).
+A whole number of quarter turns is a Clifford map: it only relabels rows
+and flips signs, and truncates nothing.  ``evolve`` absorbs each gate's
+quarter turns into a frame Φ instead of moving rows, keeping the true state
+as Φ of the framed state it stores (Begušić, Hejazi & Chan,
+arXiv:2306.04797).
 
 Φ is held as the tableau of Φ⁻¹ over the generators Z_q and X_q (Aaronson
 and Gottesman, quant-ph/0406196); an absorb updates only the rows of the
 generators the gate anti-commutes with.  Φ⁻¹ frames each later generator,
-so every other gate is the same rotation about Φ⁻¹(σ).  Φ, taken from the
-tableau by a transpose, unframes every state that leaves ``evolve``, one
+so every gate's residual is the same rotation about Φ⁻¹(σ).  Φ, taken from
+the tableau by a transpose, unframes every state that leaves ``evolve``, one
 table lookup per byte of a row, and the result is sorted canonically.
 
 Rows here are keyed, as inside ``evolve``: W z-words then W x-words, each
@@ -166,14 +167,17 @@ class Frame:
         sign = -1.0 if (alpha - canon) % 4 else 1.0
         return _nu_rows(self.n, [(z, x)])[0].byteswap(), canon, sign
 
-    def absorb(self, prep, sin_t: float) -> None:
-        """Compose the quarter turn G: P -> sin_t * i sigma P (anti-commuting P) onto Φ.
+    def absorb(self, prep, q: int) -> None:
+        """Compose q quarter turns G about sigma onto Φ.
 
-        Φ⁻¹ becomes Φ⁻¹ G⁻¹: a generator g that anti-commutes with sigma
-        maps to -sin_t * i Φ⁻¹(sigma) Φ⁻¹(g).
+        G maps an anti-commuting P to i^q sigma^q P: i sigma P, -P or -i sigma P
+        for q = 1, 2 or 3 modulo 4.  Φ⁻¹ becomes Φ⁻¹ G⁻¹: a generator g that
+        anti-commutes with sigma maps to (-i)^q Φ⁻¹(sigma)^q Φ⁻¹(g), so an odd
+        q multiplies by Φ⁻¹(sigma) = (-i)^alpha Z^z X^x and a half turn only
+        adds 2 to the phase.
         """
-        z, x, alpha = self._inverse(prep)
-        turn = alpha + 3 + (2 if sin_t > 0.0 else 0)  # i = (-i)^3, -1 = (-i)^2
+        z, x, alpha = self._inverse(prep) if q % 2 else (0, 0, 0)
+        turn = alpha + q
         for r in prep.anti_rows:
             rz, rx, ra = self.inv[r]
             self.inv[r] = (z ^ rz, x ^ rx, (ra + turn + 2 * (x & rz).bit_count()) % 4)

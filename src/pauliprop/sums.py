@@ -12,6 +12,7 @@ canonical order (word-by-word unsigned comparison, column 0 first; see
 
 from __future__ import annotations
 
+import math
 import zipfile
 import zlib
 
@@ -64,7 +65,8 @@ class PauliSum:
         """Build from (label-or-PauliString, coefficient) pairs.
 
         Coefficients of a repeated string add up in input order; rows that
-        sum to exactly zero are dropped.
+        sum to exactly zero are dropped, and a sum that is not finite is an
+        error naming its term.
         """
         acc: dict[tuple[int, int], float] = {}
         for p, c in terms:
@@ -73,7 +75,10 @@ class PauliSum:
             elif p.n != n:
                 raise PauliError(f"size mismatch: {p.n} vs {n} qubits")
             key = (p.z, p.x)
-            acc[key] = acc.get(key, 0.0) + canonical_real_coefficient(c, p)
+            value = acc[key] = acc.get(key, 0.0) + canonical_real_coefficient(c, p)
+            if not math.isfinite(value):
+                raise ValueError(f"term {p.to_sparse_label()} has the coefficient {value!r}, "
+                                 "not a finite number")
         keys = [key for key, c in acc.items() if c != 0.0]
         bits = _nu_rows(n, keys)
         order = kernels.sort_order(bits.byteswap())
@@ -131,8 +136,8 @@ class PauliSum:
         A file that is not a readable ``.npz`` archive, a missing ``n``,
         ``bits`` or ``coeffs`` array, an ``n`` that is not one non-negative
         integer, rows of the wrong type or width, a coefficient count other
-        than the row count, a bit set past qubit n, a zero coefficient and a
-        repeated row are errors.
+        than the row count, a bit set past qubit n, a zero or non-finite
+        coefficient and a repeated row are errors.
         """
         names = ("n", "bits", "coeffs")
         try:
@@ -160,6 +165,8 @@ class PauliSum:
             raise ValueError(f"snapshot {path} sets a bit past qubit {n - 1}")
         if np.any(coeffs == 0.0):
             raise ValueError(f"snapshot {path} holds a zero coefficient")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"snapshot {path} holds a coefficient that is not a finite number")
         order = kernels.sort_order(bits.byteswap())
         bits, coeffs = bits[order], coeffs[order]
         if np.any(np.all(bits[1:] == bits[:-1], axis=1)):

@@ -429,7 +429,7 @@ class TestEtaSpikes:
 
     def test_unmeasured_eta_skipped(self):
         gates = self._gates([0.25, 0.0, 0.4])
-        gates[1].eta = None  # an absorbed quarter turn
+        gates[1].eta = None  # a whole number of quarter turns
         assert [k for k, _, _ in detect_eta_spikes(gates, threshold=0.0)] == [1, 3]
 
     def test_clifford_single_row_trace_empty(self):

@@ -600,7 +600,7 @@ class TestAnalyze:
         assert spikes == [{"k": 2, "eta": 0.368, "theta": 0.96}]
 
     def test_spikes_skip_absorbed_quarter_turns(self, small_circuit, tmp_path):
-        # an absorbed quarter turn writes an empty eta cell, which reads back
+        # a whole number of quarter turns writes an empty eta cell, which reads back
         # as not measured: at threshold 0 every other gate is a spike
         run_dir, out_dir = tmp_path / "run", tmp_path / "spk"
         assert main(["run", "--circuit", str(small_circuit), "--observable", "Z2",
@@ -762,18 +762,22 @@ class TestLifecycle:
         assert listed[-1] == str(manifest_path)
 
 
-    @pytest.mark.parametrize("flag", ["--circuit", "--snapshot", "--trace"])
-    def test_missing_input_is_usage_error(self, tmp_path, capsys, flag):
-        missing = str(tmp_path / "nope")
+    @pytest.mark.parametrize("flag", ["--circuit", "--snapshot", "--trace", "--observable"])
+    def test_missing_input_is_usage_error(self, small_circuit, tmp_path, capsys, flag):
+        suffix = {"--snapshot": ".npz", "--trace": ".csv"}.get(flag, ".json")
+        missing = str(tmp_path / f"nope{suffix}")
         argv = {
-            "--circuit": ["run", "--circuit", missing + ".json", "--observable", "Z2",
-                          "--delta", "1e-3"],
-            "--snapshot": ["analyze", "--snapshot", missing + ".npz", "--histogram"],
-            "--trace": ["analyze", "--trace", missing + ".csv", "--spikes"],
+            "--circuit": ["run", "--circuit", missing, "--observable", "Z2", "--delta", "1e-3"],
+            "--snapshot": ["analyze", "--snapshot", missing, "--histogram"],
+            "--trace": ["analyze", "--trace", missing, "--spikes"],
+            # a .json spec is a file, never a Pauli label
+            "--observable": ["run", "--circuit", str(small_circuit), "--observable", missing,
+                             "--delta", "1e-3"],
         }[flag]
         out_dir = tmp_path / "out"
         assert main([*argv, "--out-dir", str(out_dir)]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"No such file or directory: '{missing}'" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("kind, message", [
@@ -791,11 +795,16 @@ class TestLifecycle:
         ("observable-truncated", "bad.json is not JSON"),
         ("snapshot-n-vector", "bad.npz has n = array([1, 2])"),
         ("snapshot-n-negative", "bad.npz has n = array(-5)"),
+        ("observable-nan", "term Z0 has the coefficient nan"),
+        ("observable-inf", "term Z0 has the coefficient inf"),
+        ("snapshot-nan", "bad.npz holds a coefficient that is not a finite number"),
+        ("snapshot-inf", "bad.npz holds a coefficient that is not a finite number"),
     ], ids=["circuit-without-n", "circuit-gates-number", "circuit-metadata-list",
             "circuit-steps-null", "observable-without-terms", "observable-number",
             "snapshot-without-arrays", "snapshot-empty", "snapshot-truncated", "snapshot-text",
             "circuit-truncated", "observable-truncated", "snapshot-n-vector",
-            "snapshot-n-negative"])
+            "snapshot-n-negative", "observable-nan", "observable-inf", "snapshot-nan",
+            "snapshot-inf"])
     def test_malformed_input_is_usage_error(self, small_circuit, tmp_path, capsys, kind, message):
         circuit = json.loads(small_circuit.read_text())
         zeros, ones = np.zeros((1, 2), dtype=np.uint64), np.ones(1)
@@ -812,6 +821,8 @@ class TestLifecycle:
             "snapshot-without-arrays": {"bits": zeros},
             "snapshot-n-vector": {"n": [1, 2], "bits": zeros, "coeffs": ones},
             "snapshot-n-negative": {"n": -5, "bits": zeros, "coeffs": ones},
+            "snapshot-nan": {"n": 2, "bits": zeros, "coeffs": [math.nan]},
+            "snapshot-inf": {"n": 2, "bits": zeros, "coeffs": [-math.inf]},
         }.get(kind)
         payload = {
             "circuit-without-n": {k: v for k, v in circuit.items() if k != "n"},
@@ -820,6 +831,9 @@ class TestLifecycle:
             "circuit-steps-null": {**circuit, "metadata": {"gates_per_step": None}},
             "observable-without-terms": {"coeffs": [1.0]},
             "observable-number": 5,
+            # json writes and reads NaN and Infinity
+            "observable-nan": [["Z0", math.nan], ["X1", 0.5]],
+            "observable-inf": [["Z0", math.inf], ["X1", 0.5]],
         }.get(kind)
         on_snapshot = kind.startswith("snapshot")
         bad = tmp_path / ("bad.npz" if on_snapshot else "bad.json")

@@ -234,41 +234,45 @@ class TestApplyRotation:
 
 # residuals r of angles k * pi/2 + r: none, the smallest subnormal, generic
 # values and the +-pi/4 ties between two quarter turns
-_fold_residuals = st.sampled_from(
+_split_residuals = st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, math.pi / 4, -math.pi / 4]
 ) | st.floats(-math.pi / 4, math.pi / 4)
 
 
-class TestFold:
-    """_fold's identity, which evolve relies on to frame a gate: a framed
-    generator's sign multiplies the folded sin instead of the angle."""
+class TestSplit:
+    """_split's identities, which evolve relies on: only a whole number of
+    quarter turns leaves no residual to rotate by, and a framed generator's
+    sign multiplies the residual's sin instead of the angle."""
 
     @staticmethod
     def _check_negation(angle):
-        cos_t, sin_t = engine._fold(angle)
-        cos_n, sin_n = engine._fold(-angle)
-        assert cos_n.hex() == cos_t.hex()
-        if sin_t != 0.0:
-            assert sin_n.hex() == (-sin_t).hex()
+        q, r = engine._split(angle)
+        q_n, r_n = engine._split(-angle)
+        assert q_n == -q
+        if r != 0.0:
+            assert r_n.hex() == (-r).hex()
         else:
-            assert sin_n == 0.0
-        return cos_t
+            assert r_n == 0.0
+        return q, r
 
     @settings(max_examples=400, deadline=None)
-    @given(st.integers(-40, 40), _fold_residuals)
+    @given(st.integers(-40, 40), _split_residuals)
     def test_quarter_turns_plus_residual(self, k, r):
         angle = k * engine._HALF_PI + r
-        cos_t = self._check_negation(angle)
-        # cos is exactly 0.0 for an exact odd quarter turn, and only then
-        assert (cos_t == 0.0) == (k % 2 == 1 and angle == k * engine._HALF_PI)
+        q, residual = self._check_negation(angle)
+        # |r| <= pi/4 up to the last bit of the angle, rounded at the ties
+        assert abs(residual) <= math.pi / 4 + math.ulp(angle)
+        # the residual is exactly 0.0 for a whole number of quarter turns, and only then
+        assert (residual == 0.0) == (angle == k * engine._HALF_PI)
+        if residual == 0.0:
+            assert q == k
 
     @settings(max_examples=400, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_any_finite_angle(self, angle):
-        cos_t = self._check_negation(angle)
-        if cos_t == 0.0:
-            q = round(angle / engine._HALF_PI)
-            assert q % 2 == 1 and angle == q * engine._HALF_PI
+        q, r = self._check_negation(angle)
+        assert abs(r) <= math.pi / 4 + math.ulp(angle)
+        assert (r == 0.0) == (angle == q * engine._HALF_PI)
 
 
 class TestEvolve:
@@ -459,9 +463,9 @@ def _golden_observable():
 GOLDEN_SUMMARY = (435, 48, "0.09492838905354659")
 GOLDEN_STATE_SHA256 = "8c9e1de96a63e48837bbddab61c3b496e1e9c5373f3922e9e913e42d1009bc82"
 # every trace column but the norm, unchanged since the engine that moved rows
-# for quarter turns but for eta, None at the 19 absorbed quarter turns
-GOLDEN_TRACE_COLUMNS_SHA256 = "308c4a8fa23e1c6109ca36e4e817811681c1f73d683950018a90d27d4ba9adb2"
-GOLDEN_TRACE_SHA256 = "e957677d950b43d014f2ba7b491e216dd3afcd1ab1dcec234d34832f3a95827c"
+# for quarter turns but for eta, None at the 19 quarter turns and 3 half turns
+GOLDEN_TRACE_COLUMNS_SHA256 = "404bbc74921e6d0d3c11a794fea1ba2b3b5a5eaab7ecaf2d932cd1f55bdcc033"
+GOLDEN_TRACE_SHA256 = "119298e5f1e493fa4f00fb2ef8cb5dea4e98bed9339c6b7bd925dc06b83556e1"
 
 
 # (label, q, residual): the angle q*pi/2 + residual, an exact multiple of pi/2 when residual is 0
@@ -488,7 +492,10 @@ class TestSingleRotationPath:
         # when it came to be summed in the frame's row order (6 of the 48
         # norms moved by 1-2 ulp).  Both trace digests were re-recorded when
         # absorbed quarter turns stopped measuring eta; every other value,
-        # the norms included, stayed bit for bit
+        # the norms included, stayed bit for bit.  They were re-recorded again
+        # when the frame came to take every quarter turn and _gate only the
+        # residual: eta became None at the 3 half turns (gates 23, 34 and 45),
+        # and 8 of the 48 norms moved by 1 ulp
         final, trace = evolve(_golden_circuit(), _golden_observable(), 2.0**-8)
         state = hashlib.sha256(
             final.bits.astype("<u8").tobytes() + final.coeffs.astype("<f8").tobytes()
@@ -522,6 +529,12 @@ class TestSingleRotationPath:
 def _reference_evolve(circuit, observable, delta, row_cap=engine.DEFAULT_ROW_CAP):
     """evolve without the light cone or the frame: engine._gate on every gate.
 
+    A gate's quarter turns are _gate calls at (cos, sin) = (0, +-1), then its
+    residual one at (cos r, sin r); a whole turn without a residual is one
+    call at (1, 0), for phi.  A quarter turn drops only the +-0 rows it
+    vacates, so it runs under the default cap and truncates nothing; the row
+    cap is checked at the residual.
+
     Returns the state after each gate (index 0 is the entry state) in the
     PauliSum layout, the trace rows without elapsed_ns, with the norm
     recomputed after every gate, and whether the row cap stopped it: on
@@ -536,12 +549,19 @@ def _reference_evolve(circuit, observable, delta, row_cap=engine.DEFAULT_ROW_CAP
     for k, (sigma, theta) in enumerate(circuit.gates, start=1):
         n_before = len(coeffs)
         prep = engine._prepare_generator(sigma, circuit.n)
-        cos_t, sin_t = engine._fold(prep.orientation * theta)
-        bits, coeffs, phi, eta, truncated, capped = engine._gate(
-            bits, coeffs, prep.words, prep.canon, cos_t, sin_t, delta, row_cap
-        )
-        if capped:
-            return states, rows, True
+        q, r = engine._split(prep.orientation * theta)
+        turns = [[] if r else [(1.0, 0.0)], [(0.0, 1.0)], [(0.0, 1.0)] * 2, [(0.0, -1.0)]][q % 4]
+        for cos_t, sin_t in turns:
+            bits, coeffs, phi, eta, _, _ = engine._gate(
+                bits, coeffs, prep.words, prep.canon, cos_t, sin_t, delta, engine.DEFAULT_ROW_CAP
+            )
+        truncated = 0
+        if r:
+            bits, coeffs, phi, eta, truncated, capped = engine._gate(
+                bits, coeffs, prep.words, prep.canon, math.cos(r), math.sin(r), delta, row_cap
+            )
+            if capped:
+                return states, rows, True
         norm = math.sqrt(pairwise_dot(coeffs, coeffs))
         rows.append((k, theta, phi, eta, n_before, len(coeffs), truncated, norm))
         states.append((bits.byteswap(), coeffs.copy()))
@@ -558,8 +578,8 @@ NORM_ULPS = 64
 def _assert_trace_matches(trace, ref_rows):
     """Every column but elapsed_ns bit for bit, except the norm: within NORM_ULPS.
 
-    eta is compared wherever the engine measured it; an absorbed quarter turn
-    records None, and the reference, which runs _gate there too, a number.
+    eta is compared wherever the engine measured it; a whole number of quarter
+    turns records None, and the reference, which runs _gate there too, a number.
     """
     fields = [f.name for f in dataclasses.fields(GateStats)
               if f.name not in ("norm", "elapsed_ns")]
@@ -891,6 +911,18 @@ class TestCliffordFrame:
             else:
                 evolve(circuit, observable, delta, budget_s=budget)
 
+    @settings(max_examples=100, deadline=None)
+    @given(_frame_problems())
+    def test_gate_rotates_by_a_residual_only(self, problem):
+        # every whole quarter turn goes into the frame: _gate rotates by a
+        # residual |r| <= pi/4, never by an exact multiple of pi/2
+        n, gates, terms, delta, *_ = problem
+        with mock.patch.object(engine, "_gate", wraps=engine._gate) as gate:
+            evolve(_signed_circuit(n, gates), PauliSum.from_terms(n, terms), delta)
+        for call in gate.call_args_list:
+            cos_t, sin_t = call.args[4:6]
+            assert cos_t > 0.0 and sin_t != 0.0
+
     def test_quarter_turns_move_no_row(self):
         obs = PauliSum.from_terms(4, [("Z1", 1.0), ("X0*Z3", 0.5)])
         circuit = _circuit(4, [("Z0*Z1", -math.pi / 2), ("X1", math.pi / 2),
@@ -899,15 +931,16 @@ class TestCliffordFrame:
         with mock.patch.object(engine, "_gate") as gate:
             final, trace = evolve(circuit, obs, 0.0)
         gate.assert_not_called()
-        assert trace.absorbed == sum(g.phi > 0.0 for g in trace.gates) > 0
+        assert sum(g.eta is None for g in trace.gates) == sum(g.phi > 0.0 for g in trace.gates) > 0
         states, ref_rows, _ = _reference_evolve(circuit, obs, 0.0)
         _assert_state(final, states[-1])
         _assert_trace_matches(trace, ref_rows)
 
     @pytest.mark.parametrize("case", ["kicked-ising-grid", "golden"])
     def test_absorbed_gate_counts_once_and_searches_no_partner(self, case):
-        # a quarter turn swaps each pair, so an absorbed gate needs phi alone:
-        # one anti_mask count, no partner search, and eta recorded as None
+        # a quarter turn swaps each pair and a half turn keeps it, so a gate
+        # with no residual needs phi alone: one anti_mask count, no partner
+        # search, and eta recorded as None; the golden circuit has 3 half turns
         if case == "golden":
             circuit, obs, delta = _golden_circuit(), _golden_observable(), 2.0**-8
         else:
@@ -922,26 +955,26 @@ class TestCliffordFrame:
         absorbed = 0
         for g, (_sigma, theta), before, after in zip(trace.gates, circuit.gates,
                                                     [(0, 0)] + counts, counts):
-            if engine._fold(theta)[0] == 0.0 and g.phi > 0.0:
+            if engine._split(theta)[1] == 0.0 and g.phi > 0.0:
                 absorbed += 1
                 assert (after[0] - before[0], after[1] - before[1]) == (1, 0), g.k
                 assert g.eta is None, g.k
             else:
                 assert g.eta is not None, g.k
-        assert trace.absorbed == sum(g.eta is None for g in trace.gates) == absorbed > 0
+        assert sum(g.eta is None for g in trace.gates) == absorbed > 0
 
     def test_no_frame_before_the_first_absorb(self):
-        # residual angles and exact half turns: nothing to absorb, so no frame
-        # is made, even with snapshots and a peak snapshot to unframe
+        # residual angles and a whole turn: nothing to absorb, so no frame is
+        # made, even with snapshots and a peak snapshot to unframe
         obs = PauliSum.from_terms(3, [("Z1", 1.0)])
-        circuit = _circuit(3, [("X1", 0.3), ("Z1*Z2", math.pi), ("Y0*Y1", -0.7),
+        circuit = _circuit(3, [("X1", 0.3), ("Z1*Z2", 0.4), ("Y0*Y1", -0.7),
                                ("X2", 2 * math.pi)])
         keep = _Keeper((2,))
         with mock.patch.object(frame, "Frame") as made:
             final, trace = evolve(circuit, obs, 0.0, on_gate=keep)
             k_peak, peak = keep.peak()
         made.assert_not_called()
-        assert trace.absorbed == 0
+        assert trace.gates[-1].phi > 0.0
         states, ref_rows, _ = _reference_evolve(circuit, obs, 0.0)
         _assert_state(final, states[-1])
         _assert_state(keep.snapshots[2], states[2])
@@ -949,7 +982,7 @@ class TestCliffordFrame:
 
     @pytest.mark.parametrize("n", [70, 130])  # 2 and 3 words per half
     def test_round_trip(self, n, monkeypatch):
-        """Φ(Φ⁻¹(P)) = P for a frame of random quarter turns on qubits in every word."""
+        """Φ(Φ⁻¹(P)) = P for a frame of random quarter and half turns on every word."""
         monkeypatch.setattr(frame, "_MAP_ROWS", 16)  # several blocks
         rng = np.random.default_rng(n)
         clifford = frame.Frame(n)
@@ -962,7 +995,7 @@ class TestCliffordFrame:
 
         for _ in range(400):
             prep = engine._prepare_generator(random_string(int(rng.integers(1, 4))), n)
-            clifford.absorb(prep, float(rng.choice([-1.0, 1.0])))
+            clifford.absorb(prep, int(rng.integers(1, 4)))
         preps = [engine._prepare_generator(random_string(int(rng.integers(1, n))), n)
                  for _ in range(60)]
         framed = [clifford.framed(prep) for prep in preps]  # (words, canon, sign)
@@ -1061,9 +1094,9 @@ class TestTraceLog:
             trace.finalize()
 
     def test_csv_round_trip(self, tmp_path):
-        # quarter turns, absorbed with eta None, among rotated gates
+        # quarter and half turns, with eta None, among rotated gates
         _, trace = evolve(_golden_circuit(), _golden_observable(), 2.0**-8)
-        assert trace.absorbed == sum(g.eta is None for g in trace.gates) > 0
+        assert any(g.eta is None for g in trace.gates)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         back = engine.read_trace(path)
