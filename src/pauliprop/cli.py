@@ -221,7 +221,15 @@ def _snapshot_gates(spec: str | None, circuit: Circuit):
         if not (isinstance(per_step, int) and per_step > 0):
             raise ValueError("--snapshots steps needs a positive metadata.gates_per_step")
         return range(per_step, len(circuit) + 1, per_step)
-    gates = tuple(int(tok) for tok in spec.split(",")) if spec else ()
+    if spec is None:
+        return ()
+    gates = []
+    for tok in spec.split(","):  # an empty spec is one empty token
+        try:
+            gates.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--snapshots takes 'steps' or comma-separated gate indices; "
+                             f"{spec!r} has the token {tok!r}") from None
     if not all(1 <= k <= len(circuit) for k in gates):
         raise ValueError(f"--snapshots {spec} names a gate outside 1..{len(circuit)}")
     return gates
@@ -232,10 +240,14 @@ def cmd_run(args, manifest: _Manifest) -> None:
     snap_at = set(_snapshot_gates(args.snapshots, circuit))
     track_peak = args.snapshots == "steps"
     peak = None  # (stats, a copy of the state) at the first gate with the most rows so far
+    snapshots_s = 0.0  # unframing and writing snapshots, the peak's included
 
     def save(name, k, state):
+        nonlocal snapshots_s
+        t = time.monotonic()
         path = manifest.add(f"{name}_k{k:06d}.npz")
         state.pauli_sum().to_npz(path, gate_index=k, delta=args.delta)
+        snapshots_s += time.monotonic() - t
 
     def on_gate(stats, state):
         nonlocal peak
@@ -253,15 +265,17 @@ def cmd_run(args, manifest: _Manifest) -> None:
         )
     except Aborted as exc:
         aborted, trace, final = exc, exc.trace, exc.partial
-    wall = time.monotonic() - t0
     if peak is not None:  # the peak of the gates run, also on a stop
         save("snapshot_peak", peak[0].k, peak[1])
+    wall = time.monotonic() - t0
 
     value = expectation(final)
     trace.to_csv(manifest.add("trace.csv"))
     summary = trace.summary(expectation=value)
     write_json(manifest.add("summary.json"), summary)
     manifest.timing("evolve_s", wall)
+    if snap_at or track_peak:
+        manifest.timing("snapshots_s", snapshots_s)
     # work and memory: deterministic counts, then the process's resident peak
     manifest.note(
         row_gates=sum(g.n_before for g in trace.gates),

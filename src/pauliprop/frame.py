@@ -104,6 +104,9 @@ def _map_rows(images, phases, bits):
     keep = keep.view(np.uint64)
     z_keep = np.where(np.arange(2 * w) < w, keep, np.uint64(0))
 
+    # each table entry as one item: np.take moves those about three times
+    # faster than fancy indexing moves rows
+    entries = tables.view(f"V{16 * w}")[..., 0]
     # blocks of rows bound the temporaries
     acc = np.empty_like(bits)
     flip = np.empty(len(bits), np.uint8)
@@ -115,8 +118,8 @@ def _map_rows(images, phases, bits):
         cross = np.zeros((len(block), w), np.uint64)
         for t, byte in enumerate(table_bytes):  # z-half bytes come first
             value = raw[:, byte]
-            entry = tables[t][value]
-            alpha += table_phases[t][value]
+            entry = np.take(entries[t], value).view(np.uint64).reshape(-1, 2 * w)
+            alpha += np.take(table_phases[t], value)
             cross ^= part[:, w:] & entry[:, :w]
             part ^= entry
         # the fixed X letters commute with every X image and carry no z bits,

@@ -125,9 +125,13 @@ class PauliSum:
         return cls.from_terms(n, read_csv(path, _SNAPSHOT_COLUMNS))
 
     def to_npz(self, path, **provenance) -> None:
-        """Binary snapshot: packed rows + coefficient array (+ provenance)."""
+        """Binary snapshot: packed rows + coefficient array (+ provenance).
+
+        The members are stored, not deflated: writing costs about one copy
+        of the state, and deflating cost some 30 times as much.
+        """
         meta = {k: np.asarray(v) for k, v in provenance.items()}
-        np.savez_compressed(path, n=self.n, bits=self.bits, coeffs=self.coeffs, **meta)
+        np.savez(path, n=self.n, bits=self.bits, coeffs=self.coeffs, **meta)
 
     @classmethod
     def from_npz(cls, path) -> "PauliSum":

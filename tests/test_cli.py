@@ -247,7 +247,8 @@ class TestRun:
         assert listed == [str(stopped / name) for name in snaps] + [
             str(stopped / name) for name in ("trace.csv", "summary.json", "manifest.json")]
 
-    @pytest.mark.parametrize("spec, strip_metadata", [("0,999", False), ("steps", True)])
+    @pytest.mark.parametrize("spec, strip_metadata", [
+        ("0,999", False), ("steps", True), ("", False), ("3,,4", False), ("steps,5", False)])
     def test_snapshots_naming_no_gate_usage_error(self, tmp_path, capsys, spec, strip_metadata):
         # a 2x2 grid-ising circuit of 16 gates; without gates_per_step, 'steps' names no gate
         path = tmp_path / "grid.json"
@@ -267,6 +268,26 @@ class TestRun:
         assert code == EXIT_USAGE
         assert "--snapshots" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("spec, token", [
+        ("", "''"), ("3,,4", "''"), ("steps,5", "'steps'"), ("2, x", "' x'")])
+    def test_snapshots_name_the_bad_token(self, small_circuit, tmp_path, capsys, spec, token):
+        out_dir = tmp_path / "snaps"
+        assert main([
+            "run", "--circuit", str(small_circuit), "--observable", "Z2", "--delta", "1e-3",
+            "--out-dir", str(out_dir), "--snapshots", spec,
+        ]) == EXIT_USAGE
+        assert f"has the token {token}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_manifest_times_snapshots(self, small_circuit, tmp_path):
+        argv = ["run", "--circuit", str(small_circuit), "--observable", "Z2", "--delta", "1e-4"]
+        assert main([*argv, "--out-dir", str(tmp_path / "snaps"), "--snapshots", "steps"]) == EXIT_OK
+        assert main([*argv, "--out-dir", str(tmp_path / "plain")]) == EXIT_OK
+        timed = json.loads((tmp_path / "snaps" / "manifest.json").read_text())["timings"]
+        assert 0 < timed["snapshots_s"] <= timed["evolve_s"]
+        plain = json.loads((tmp_path / "plain" / "manifest.json").read_text())["timings"]
+        assert "evolve_s" in plain and "snapshots_s" not in plain
 
     def test_manifest_covers_all_outputs(self, small_circuit, tmp_path):
         out_dir = tmp_path / "cov"
@@ -728,6 +749,30 @@ class TestAnalyze:
         out_dir = tmp_path / "ana"
         code = main(["analyze", "--snapshot", str(snap), "--histogram", "--out-dir", str(out_dir)])
         assert code == EXIT_USAGE
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    def test_damaged_run_snapshot_writes_nothing(self, small_circuit, tmp_path, capsys, damage):
+        assert main([
+            "run", "--circuit", str(small_circuit), "--observable", "Z2", "--delta", "1e-4",
+            "--out-dir", str(tmp_path / "run"), "--snapshots", "steps",
+        ]) == EXIT_OK
+        snap = max((tmp_path / "run").glob("snapshot_k*.npz"))
+        raw = bytearray(snap.read_bytes())
+        if damage == "truncated":
+            del raw[-30:]
+        else:  # the stored bits payload lies in the file as it is in memory
+            with np.load(snap) as data:
+                payload = data["bits"].tobytes()
+            at = raw.find(payload)
+            assert at >= 0 and len(payload) > 1
+            raw[at + len(payload) // 2] ^= 0x01
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(bytes(raw))
+        out_dir = tmp_path / "ana"
+        code = main(["analyze", "--snapshot", str(bad), "--histogram", "--out-dir", str(out_dir)])
+        assert code == EXIT_USAGE
+        assert f"{bad} is not a readable .npz archive" in capsys.readouterr().err
         assert not out_dir.exists()
 
 

@@ -1,4 +1,5 @@
 import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -171,6 +172,35 @@ class TestSnapshots:
         assert back.n == 127
         assert np.array_equal(back.bits, s.bits)
         assert np.array_equal(back.coeffs, s.coeffs)
+
+    def test_npz_members_stored(self, tmp_path):
+        s = _sum_from(127, [("Z62", 0.75), ("X0*Z126", -0.25), ("Y64*X65", 0.1)])
+        path = tmp_path / "snap.npz"
+        s.to_npz(path, gate_index=17, delta=1e-4)
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert sorted(m.filename for m in members) == [
+            "bits.npy", "coeffs.npy", "delta.npy", "gate_index.npy", "n.npy"]
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+        with np.load(path) as data:
+            assert data["gate_index"].shape == () and data["gate_index"] == 17
+            assert data["delta"].shape == () and data["delta"] == 1e-4
+        back = PauliSum.from_npz(path)
+        assert back.n == 127
+        assert back.bits.tobytes() == s.bits.tobytes()
+        assert back.coeffs.tobytes() == s.coeffs.tobytes()
+
+    def test_npz_deflated_archive_loads(self, tmp_path):
+        # the members of snapshots written before they were stored
+        s = _sum_from(127, [("Z62", 0.75), ("X0*Z126", -0.25), ("Y64*X65", 0.1)])
+        path = tmp_path / "deflated.npz"
+        np.savez_compressed(path, n=127, bits=s.bits, coeffs=s.coeffs, gate_index=17, delta=1e-4)
+        with zipfile.ZipFile(path) as archive:
+            assert all(m.compress_type == zipfile.ZIP_DEFLATED for m in archive.infolist())
+        back = PauliSum.from_npz(path)
+        assert back.n == 127
+        assert back.bits.tobytes() == s.bits.tobytes()
+        assert back.coeffs.tobytes() == s.coeffs.tobytes()
 
     def test_npz_in_any_row_order_loads_canonical(self, tmp_path):
         s = _sum_from(70, [("Z0", 1.0), ("X65", -0.5), ("Y3*Z69", 0.25), ("X1", 0.125)])
