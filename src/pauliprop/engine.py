@@ -35,6 +35,14 @@ generator, so a generator is framed only for gates that pass it.
 Rows are kept in canonical packed order throughout, which makes every run
 bit-identical.  Each gate is composed from vectorized numpy pieces over the
 bit kernels in :mod:`pauliprop.kernels`; all float updates are elementwise.
+A rotation reads its anti-commuting rows' coefficients once, into a buffer
+that ends in one 0.0, and writes them back once.  The scan gives each anti
+row its partner P ^ sigma as an index into that buffer, -1 (the 0.0) when
+the partner is absent, so one update c cos - c_partner sin sign serves
+every anti row: an unpaired row subtracts a zero from its nonzero c cos,
+which leaves c cos bit for bit.  The branches' coefficients come from the
+same buffer.  Small gates cost their numpy calls more than their rows, so
+the gate path makes as few calls as it can.
 
 Inside :func:`evolve` every word is stored byte-swapped, big-endian in
 memory, so a row's bytes are its sort key: the state's words are swapped
@@ -52,6 +60,7 @@ state an ``on_gate`` hook is handed after each gate.  What to keep of them
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -211,19 +220,25 @@ class _Generator(NamedTuple):
     anti_rows: tuple[int, ...]  # tableau rows of the generators it anti-commutes with
 
 
+@functools.cache
+def _row_item(width):
+    """The dtype of one row of ``width`` words as a single void item."""
+    return np.dtype(f"V{8 * width}")
+
+
 def _rows(bits):
     """The rows as one fixed-width void item each, for single-item moves."""
-    return bits.view(f"V{8 * bits.shape[1]}").reshape(len(bits))
+    return bits.view(_row_item(bits.shape[1])).ravel()
 
 
 def _take(bits, index):
     """bits[index] (slots or a mask), moving each row as one item.
 
-    np.take and np.compress move void items about three times faster than
-    fancy indexing does.
+    take and compress move void items about three times faster than fancy
+    indexing does.
     """
     rows = _rows(bits)
-    picked = np.compress(index, rows) if index.dtype == bool else np.take(rows, index)
+    picked = rows.compress(index) if index.dtype == bool else rows.take(index)
     return picked.view(np.uint64).reshape(-1, bits.shape[1])
 
 
@@ -304,34 +319,35 @@ def _threshold(bits, coeffs, delta):
 
 
 def _scan(bits, words):
-    """Anti-commuting row slots, those rows, and their partner slots.
+    """Anti-commuting row slots, those rows, and each one's partner.
 
-    A partner slot is -1 when the row bits ^ words is absent; the partner
-    search is skipped (pos is None) when no row anti-commutes.  A partner
-    anti-commutes too (<P ^ s, s> = <P, s> + <s, s>), and it differs from
-    its row in every bit of the generator.  So the anti rows are split by
-    one such bit, the smaller side's partners are searched for in the
-    other side (both ascend with anti_idx), and each pair found writes the
-    partner slot of both its rows.
+    A partner is a local index into the anti rows, -1 when the row
+    bits ^ words is absent; partner is None when no row anti-commutes.  A
+    partner anti-commutes too (<P ^ s, s> = <P, s> + <s, s>), and it differs
+    from its row in every bit of the generator.  So the anti rows are split by
+    one such bit, the smaller side's partners are searched for in the other
+    side (both ascend), and each pair found writes the partner of both its
+    rows.
     """
-    anti_idx = np.flatnonzero(kernels.anti_mask(bits, words))
+    anti_idx = kernels.anti_mask(bits, words).nonzero()[0]
     anti_bits = _take(bits, anti_idx)
-    pos = None
+    partner = None
     if len(anti_idx):
-        col = int(np.flatnonzero(words)[0])  # some row anti-commutes, so words is nonzero
+        col = int(words.nonzero()[0][0])  # some row anti-commutes, so words is nonzero
         word = int(words[col])
-        split = (anti_bits[:, col] & np.uint64(word & -word)) != 0
-        ones, zeros = np.flatnonzero(split), np.flatnonzero(~split)
+        split = anti_bits[:, col] & np.uint64(word & -word)
+        ones, zeros = split.nonzero()[0], (split == 0).nonzero()[0]
         small, large = (ones, zeros) if len(ones) <= len(zeros) else (zeros, ones)
-        pos = np.full(len(anti_idx), -1, np.int64)
+        partner = np.full(len(anti_idx), -1, np.int64)
         if len(small):
             queries = _take(anti_bits, small)
             queries ^= words
             hit = kernels.find_rows(_take(anti_bits, large), queries)
-            small, partner = small[hit >= 0], large[hit[hit >= 0]]
-            pos[small] = anti_idx[partner]
-            pos[partner] = anti_idx[small]
-    return anti_idx, anti_bits, pos
+            found = hit >= 0
+            small, large = small.compress(found), large.take(hit.compress(found))
+            partner[small] = large
+            partner[large] = small
+    return anti_idx, anti_bits, partner
 
 
 def _splice(bits, coeffs, changed, delta, new_bits, new_coeffs):
@@ -344,21 +360,21 @@ def _splice(bits, coeffs, changed, delta, new_bits, new_coeffs):
     before.  Each output row has one source slot; the new rows' slots are
     placeholders, overwritten after the gather.
     """
-    drops = changed[~_passes(coeffs[changed], delta)]
+    drops = changed.compress(~_passes(coeffs.take(changed), delta))
     n_new = len(new_coeffs)
     if not (len(drops) or n_new):
         return bits, coeffs, 0
     at = np.empty(0, np.int64)
     if n_new:
         ins = kernels.lower_bound(bits, new_bits)
-        at = ins - np.searchsorted(drops, ins) + np.arange(n_new)
+        at = ins - drops.searchsorted(ins) + np.arange(n_new)
     kept = np.ones(len(coeffs), bool)
     kept[drops] = False
     old_at = np.ones(len(coeffs) - len(drops) + n_new, bool)
     old_at[at] = False
     src = np.zeros(len(old_at), np.intp)
-    src[old_at] = np.flatnonzero(kept)
-    out_bits, out_coeffs = _take(bits, src), np.take(coeffs, src)
+    src[old_at] = kept.nonzero()[0]
+    out_bits, out_coeffs = _take(bits, src), coeffs.take(src)
     _rows(out_bits)[at] = _rows(new_bits)
     out_coeffs[at] = new_coeffs
     return out_bits, out_coeffs, len(drops)
@@ -383,44 +399,47 @@ def _gate(bits, coeffs, words, canon, cos_t, sin_t, delta, row_cap):
     arrays are returned untouched.
     """
     n_rows = len(coeffs)
-    anti_idx, anti_bits, pos = _scan(bits, words)
+    anti_idx, anti_bits, partner = _scan(bits, words)
     n_anti = len(anti_idx)
     if n_anti == 0:
         return bits, coeffs, 0.0, 0.0, 0, False
-    paired = pos >= 0
-    n_paired = int(np.count_nonzero(paired))
-    phi, eta = n_anti / n_rows, n_paired / n_rows
-    n_unpaired = n_anti - n_paired
+    unpaired = partner < 0
+    n_unpaired = int(np.count_nonzero(unpaired))
+    phi, eta = n_anti / n_rows, (n_anti - n_unpaired) / n_rows
     if n_rows + n_unpaired > row_cap:
         return bits, coeffs, phi, eta, 0, True
     signs = kernels.branch_signs(anti_bits, words, canon)
-    if np.any(signs == 0):
+    if not signs.all():
         raise InvariantViolation("non-Hermitian branch phase; state is corrupt")
-    signs = signs.astype(np.float64)
+    signs *= sin_t  # exact: each sign is +-1.0
 
-    # the branched rows: thresholded, then sorted for the splice
-    unpaired = ~paired
-    unpaired_rows = anti_idx[unpaired]
-    branched = _take(anti_bits, unpaired)
-    branched ^= words
-    new_bits, new_coeffs, new_dropped = _threshold(
-        branched, coeffs[unpaired_rows] * (sin_t * signs[unpaired]), delta
-    )
+    # the anti rows' coefficients, then the 0.0 that partner -1 reads
+    anti_coeffs = np.empty(n_anti + 1)
+    coeffs.take(anti_idx, out=anti_coeffs[:-1])
+    anti_coeffs[-1] = 0.0
+
+    # the branches of the unpaired rows that pass the threshold, sorted for
+    # the splice
+    branch_coeffs = anti_coeffs[:-1] * signs
+    branches = unpaired & _passes(branch_coeffs, delta)
+    new_bits = _take(anti_bits, branches)
+    new_bits ^= words
+    new_coeffs = branch_coeffs.compress(branches)
+    new_dropped = n_unpaired - len(new_coeffs)
     # free the gathered rows before the splice, which sets the peak memory
     # of the gate
-    del anti_bits, branched
+    del anti_bits, branch_coeffs
     if len(new_coeffs):
         order = kernels.sort_order(new_bits)
         new_bits = _take(new_bits, order)
-        new_coeffs = new_coeffs[order]
+        new_coeffs = new_coeffs.take(order)
 
-    if n_paired:
-        paired_rows = anti_idx[paired]
-        # partner of an anti row carries the opposite branch sign
-        coeffs[paired_rows] = (
-            coeffs[paired_rows] * cos_t + coeffs[pos[paired]] * (sin_t * -signs[paired])
-        )
-    coeffs[unpaired_rows] *= cos_t
+    # c cos - c_partner sin sign: a partner carries the opposite branch sign,
+    # and an unpaired row subtracts a zero from its nonzero c cos
+    rotated = anti_coeffs[:-1] * cos_t
+    signs *= anti_coeffs.take(partner)
+    rotated -= signs
+    coeffs.put(anti_idx, rotated)
     # only the anti rows' coefficients changed
     bits, coeffs, dropped = _splice(bits, coeffs, anti_idx, delta, new_bits, new_coeffs)
     return bits, coeffs, phi, eta, dropped + new_dropped, False
@@ -535,11 +554,9 @@ def evolve(
                         frame = clifford.Frame(n)
                     frame.absorb(prep, q)
                 cone |= prep.cross_mask  # a gate adds only rows P ^ sigma
-        stats = GateStats(
-            k=k, theta=theta, phi=phi, eta=eta, n_before=n_before, n_after=len(coeffs),
-            truncated=truncated, norm=norm,
-            elapsed_ns=time.perf_counter_ns() - gate_start,
-        )
+        # positional: keywords cost about twice as much per trace row
+        stats = GateStats(k, theta, phi, eta, n_before, len(coeffs), truncated, norm,
+                          time.perf_counter_ns() - gate_start)
         trace.gates.append(stats)
         if on_gate is not None:
             on_gate(stats, GateState(n, bits, coeffs, frame))

@@ -140,16 +140,19 @@ class Frame:
     generator r (Z_q at row q, X_q at row n + q) as (z, x, alpha), the
     halves as a :class:`~pauliprop.pauli.PauliString` holds them and
     (-i)^alpha for the phase.  Φ⁻¹ frames gate generators; Φ, needed only
-    to unframe a state, is taken from it then (:meth:`_image`).
+    to unframe a state, is taken from it then (:meth:`_image`) and kept
+    until the next absorb.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.inv = [(1 << q, 0, 0) for q in range(n)] + [(0, 1 << q, 0) for q in range(n)]
+        self._kept_image = None  # Φ's (images, phases), read-only, from the last unframe
 
     def copy(self) -> "Frame":
+        """This frame, sharing Φ's read-only image with it until either absorbs."""
         out = Frame(0)
-        out.n, out.inv = self.n, list(self.inv)
+        out.n, out.inv, out._kept_image = self.n, list(self.inv), self._kept_image
         return out
 
     def _inverse(self, prep):
@@ -181,6 +184,7 @@ class Frame:
         """
         z, x, alpha = self._inverse(prep) if q % 2 else (0, 0, 0)
         turn = alpha + q
+        self._kept_image = None
         for r in prep.anti_rows:
             rz, rx, ra = self.inv[r]
             self.inv[r] = (z ^ rz, x ^ rx, (ra + turn + 2 * (x & rz).bit_count()) % 4)
@@ -210,7 +214,9 @@ class Frame:
         generators, flip = _map_rows(inverse, inverse_phases, images)
         if generators.tobytes() != _generator_rows(n, 2 * w).tobytes():
             raise InvariantViolation("the frame's tableau is not invertible; it is corrupt")
-        return images, _y_count(images) + flip
+        phases = _y_count(images) + flip
+        images.flags.writeable = phases.flags.writeable = False
+        return images, phases
 
     def unframe(self, bits, coeffs, owned=False):
         """Φ of keyed framed rows: keyed rows in canonical order and their coefficients.
@@ -222,7 +228,9 @@ class Frame:
         bits = np.ascontiguousarray(bits)
         out = bits if owned else np.empty_like(bits)
         out_coeffs = np.empty_like(coeffs)
-        acc, flip = _map_rows(*self._image(), bits)
+        if self._kept_image is None:
+            self._kept_image = self._image()
+        acc, flip = _map_rows(*self._kept_image, bits)
         order = kernels.sort_order(acc)
         rows = f"V{8 * bits.shape[1]}"  # each row as one item; clip mode is unbuffered
         np.take(acc.view(rows).ravel(), order, out=out.view(rows).ravel(), mode="clip")

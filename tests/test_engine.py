@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -230,6 +232,19 @@ class TestApplyRotation:
         s = PauliSum.from_terms(1, [("Z", 1.0)])
         with pytest.raises(Exception):
             apply_rotation(s, crooked, 0.4, 0.0)
+
+    @pytest.mark.parametrize("offset", [1, 3])
+    def test_gate_rejects_non_hermitian_branch_phase(self, offset):
+        # an alpha one off canonical makes every branch i*sigma*P non-Hermitian,
+        # which only a corrupt state or frame produces: _gate raises before it
+        # changes a coefficient
+        bits, words = _labelled_state(3, ["Z0", "Y0", "Z0*Z1", "Z1"], "X0")
+        coeffs = np.array([0.5, -0.25, 0.75, 1.0])
+        canon = PauliString.from_label("X0", 3).canonical_alpha()
+        with pytest.raises(InvariantViolation, match="non-Hermitian branch phase"):
+            engine._gate(bits, coeffs, words, canon + offset, math.cos(0.3), math.sin(0.3),
+                         0.0, engine.DEFAULT_ROW_CAP)
+        assert coeffs.tolist() == [0.5, -0.25, 0.75, 1.0]
 
 
 # residuals r of angles k * pi/2 + r: none, the smallest subnormal, generic
@@ -706,30 +721,36 @@ _SCAN_CASES = {
 }
 
 
+def _partner_slots(anti_idx, partner):
+    """The state slot of each anti row's partner, -1 where it has none."""
+    return [int(anti_idx[j]) if j >= 0 else -1 for j in partner.tolist()]
+
+
 class TestScan:
     @settings(max_examples=200, deadline=None)
     @given(_scan_problems())
     def test_partner_slots_match_whole_state_search(self, problem):
         bits, words = problem
-        anti_idx, anti_bits, pos = engine._scan(bits, words)
+        anti_idx, anti_bits, partner = engine._scan(bits, words)
         ref_idx, ref_bits, ref_pos = _scan_reference(bits, words)
         assert np.array_equal(anti_idx, ref_idx)
         assert anti_bits.tobytes() == ref_bits.tobytes()
         if ref_pos is None:
-            assert pos is None
+            assert partner is None
         else:
-            assert pos.dtype == np.int64 and pos.tolist() == ref_pos.tolist()
+            assert partner.dtype == np.int64 and partner.shape == anti_idx.shape
+            assert _partner_slots(anti_idx, partner) == ref_pos.tolist()
 
     @pytest.mark.parametrize("case", list(_SCAN_CASES.values()), ids=list(_SCAN_CASES))
     def test_split_search_writes_both_slots_of_each_pair(self, case):
         n_qubits, labels, sigma, n_paired = case
         bits, words = _labelled_state(n_qubits, labels, sigma)
-        anti_idx, anti_bits, pos = engine._scan(bits, words)
+        anti_idx, anti_bits, partner = engine._scan(bits, words)
         ref_idx, ref_bits, ref_pos = _scan_reference(bits, words)
         assert np.array_equal(anti_idx, ref_idx)
         assert anti_bits.tobytes() == ref_bits.tobytes()
-        assert pos.tolist() == ref_pos.tolist()
-        assert int(np.count_nonzero(pos >= 0)) == n_paired
+        assert _partner_slots(anti_idx, partner) == ref_pos.tolist()
+        assert int(np.count_nonzero(partner >= 0)) == n_paired
 
 
 class TestTake:
@@ -963,6 +984,56 @@ class TestCliffordFrame:
                 assert g.eta is not None, g.k
         assert sum(g.eta is None for g in trace.gates) == absorbed > 0
 
+    def test_kernel_calls_per_gate(self):
+        # the kernel budget of each kind of gate: a cone miss calls no kernel,
+        # every other gate one anti_mask, a gate with no anti-commuting row
+        # nothing more, and only a rotation with phi > 0 computes branch signs
+        grid = kicked_ising(Topology.grid(3, 3), T=5, theta_zz=-math.pi / 2,
+                            theta_x_spec=FixedAngle(0.3))
+        # Z0*Z1 shares the cone of X0*X1 and commutes with it
+        shared = _circuit(2, [("Z0*Z1", 0.3), ("Z0", 0.3), ("Z1", -math.pi / 2)])
+        kinds = collections.Counter()
+        for circuit, obs, delta in ((_golden_circuit(), _golden_observable(), 2.0**-8),
+                                    (grid, PauliSum.from_terms(9, [("Z4", 1.0)]), 1e-3),
+                                    (shared, PauliSum.from_terms(2, [("X0*X1", 1.0)]), 0.0)):
+            kinds.update(self._check_kernel_calls(circuit, obs, delta))
+        assert set(kinds) == {"miss", "no anti row", "rotated", "absorbed"}, kinds
+
+    @staticmethod
+    def _check_kernel_calls(circuit, obs, delta):
+        names = ("anti_mask", "find_rows", "branch_signs", "lower_bound", "sort_order", "pack_keys")
+        with contextlib.ExitStack() as stack:
+            wrapped = [stack.enter_context(mock.patch.object(kernels, name, wraps=getattr(kernels, name)))
+                       for name in names]
+            counts = []  # calls of each kernel so far, at the end of each gate
+            _, trace = evolve(circuit, obs, delta, on_gate=lambda stats, state: counts.append(
+                [w.call_count for w in wrapped]))
+        # the light cone, kept as evolve keeps it: the OR of the rows' x | z << n,
+        # and after each gate with phi > 0 the generator's
+        n, cone = circuit.n, 0
+        for label in obs.labels():
+            p = PauliString.from_label(label, n)
+            cone |= p.x | p.z << n
+        kinds = collections.Counter()
+        for g, (sigma, theta), before, after in zip(trace.gates, circuit.gates,
+                                                    [[0] * len(names)] + counts, counts):
+            calls = dict(zip(names, (b - a for a, b in zip(before, after))))
+            prep = engine._prepare_generator(sigma, n)
+            rotated = engine._split(prep.orientation * theta)[1] != 0.0
+            if not cone & prep.mask:
+                kinds["miss"] += 1
+                assert g.phi == 0.0 and not any(calls.values()), g.k
+                continue
+            assert calls["anti_mask"] == 1, g.k
+            if g.phi == 0.0:
+                kinds["no anti row"] += 1
+                assert sum(calls.values()) == 1, g.k
+            else:
+                kinds["rotated" if rotated else "absorbed"] += 1
+                cone |= prep.cross_mask
+            assert calls["branch_signs"] == (rotated and g.phi > 0.0), g.k
+        return kinds
+
     def test_no_frame_before_the_first_absorb(self):
         # residual angles and a whole turn: nothing to absorb, so no frame is
         # made, even with snapshots and a peak snapshot to unframe
@@ -979,6 +1050,35 @@ class TestCliffordFrame:
         _assert_state(final, states[-1])
         _assert_state(keep.snapshots[2], states[2])
         _assert_state(peak, states[k_peak])
+
+    def test_unframe_keeps_the_image_until_an_absorb(self):
+        n = 5
+        preps = [engine._prepare_generator(PauliString.from_label(label, n), n)
+                 for label in ("Z0*Z1", "X2", "Y3*X4", "X1*Z2")]
+        bits, _ = _labelled_state(n, ["Z0", "X1*Y2", "Z3*Z4", "Y0*X4", "X2"], "X0")
+        coeffs = np.array([0.5, -0.25, 0.75, 1.0, -2.0])
+        clifford = frame.Frame(n)
+        for prep, q in zip(preps[:3], (1, 2, 3)):
+            clifford.absorb(prep, q)
+
+        def unframed(f):
+            out_bits, out_coeffs = f.unframe(bits, coeffs)
+            return out_bits.tobytes() + out_coeffs.tobytes()
+
+        with mock.patch.object(frame.Frame, "_image", autospec=True,
+                               side_effect=frame.Frame._image) as build:
+            first = unframed(clifford)
+            assert unframed(clifford) == first and build.call_count == 1
+            kept = clifford.copy()  # carries the image
+            assert unframed(kept) == first and build.call_count == 1
+            clifford.absorb(preps[3], 1)
+            after = unframed(clifford)
+            assert build.call_count == 2
+            assert unframed(kept) == first and build.call_count == 2  # the copy's frame is unchanged
+        fresh = frame.Frame(n)
+        for prep, q in zip(preps, (1, 2, 3, 1)):
+            fresh.absorb(prep, q)
+        assert after == unframed(fresh) != first
 
     @pytest.mark.parametrize("n", [70, 130])  # 2 and 3 words per half
     def test_round_trip(self, n, monkeypatch):
